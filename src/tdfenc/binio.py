@@ -6,6 +6,7 @@ format-specific sequence of uint32 header fields and packed float payloads.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -20,7 +21,8 @@ def pack_header(magic: bytes, *fields: int) -> bytes:
 
 
 def read_exact(fh, count: int, path) -> bytes:
-    data = fh.read(count)
+    # counts come from file headers: never ask read() for more than the file holds
+    data = fh.read(min(count, os.fstat(fh.fileno()).st_size - fh.tell()))
     if len(data) != count:
         raise FormatError(f"corrupt file: {path}: expected {count} more bytes, found {len(data)}")
     return data

@@ -195,11 +195,16 @@ def fuse(branches) -> VideoVector:
     """Scale each branch vector to its target norm and concatenate in order.
 
     ``branches`` is an ordered list of (VideoVector, target_norm) pairs; every
-    branch must be non-zero.
+    branch must be non-zero, and an error names the branch that is not.
     """
     if not branches:
         raise DataError("fuse needs at least one branch")
-    parts = [scale_to_norm(vv.values, norm) for vv, norm in branches]
+    parts = []
+    for vv, norm in branches:
+        try:
+            parts.append(scale_to_norm(vv.values, norm))
+        except DataError as exc:
+            raise DataError(f"{vv.branch} branch: {exc}") from None
     return VideoVector(values=np.concatenate(parts), method="fused", branch="fused")
 
 

@@ -100,8 +100,9 @@ def read_manifest(path) -> DatasetManifest:
     """Parse a TAB-separated manifest; num_classes is the highest label + 1.
 
     Relative feature paths are resolved against the manifest's directory.
-    Malformed lines, duplicate video ids, negative labels, and label gaps all
-    raise ManifestError with the offending line number.
+    Malformed lines, video ids that are not plain file names (``.``, ``..``,
+    or containing ``/``, ``\\`` or NUL), duplicate video ids, negative labels,
+    and label gaps all raise ManifestError with the offending line number.
     """
     path = Path(path)
     base = path.parent
@@ -122,6 +123,11 @@ def read_manifest(path) -> DatasetManifest:
             video_id, feature_path, label_text = fields
             if not video_id:
                 raise ManifestError(f"{path}: line {lineno}: empty video id")
+            # the id names the encoded vector file, so it must stay a single path component
+            if video_id in (".", "..") or any(c in video_id for c in "/\\\0"):
+                raise ManifestError(
+                    f"{path}: line {lineno}: video id {video_id!r} is not a file name"
+                )
             if video_id in seen:
                 raise ManifestError(f"{path}: line {lineno}: duplicate video id {video_id!r}")
             seen.add(video_id)

@@ -156,32 +156,12 @@ def _parse_bool(text: str) -> bool:
         raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
-_CONFIG_PARSERS = {
-    "pca_dims": int,
-    "spectrum_length": int,
-    "time_encoder": str,
-    "dft_encoder": str,
-    "time_codebook_size": int,
-    "dft_codebook_size": int,
-    "llc_neighbors": int,
-    "llc_lambda": float,
-    "fusion_time_norm": float,
-    "fusion_dft_norm": float,
-    "time_branch_enabled": _parse_bool,
-    "dft_branch_enabled": _parse_bool,
-    "signed_sqrt_l2": _parse_bool,
-    "dft_pool_axis": str,
-    "train_fraction": float,
-    "svm_c": float,
-    "svm_max_epochs": int,
-    "svm_tol": float,
-    "kmeans_max_iters": int,
-    "gmm_max_iters": int,
-    "gmm_tol": float,
-    "seed": int,
-}
+_PARSER_BY_TYPE = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 
-assert set(_CONFIG_PARSERS) == {f.name for f in fields(PipelineConfig)}
+# annotations are strings here (``from __future__ import annotations``)
+_CONFIG_PARSERS = {
+    f.name: _PARSER_BY_TYPE[f.type.removesuffix(" | None")] for f in fields(PipelineConfig)
+}
 
 
 def _read_key_value_file(path, parsers: dict, kind: str) -> dict:
@@ -498,7 +478,10 @@ def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequen
             config, "dft", config.dft_encoder, bundle.dft_model, descriptors
         )
         branches.append((pooled, config.fusion_dft_norm))
-    return fuse(branches)
+    try:
+        return fuse(branches)
+    except DataError as exc:
+        raise DataError(f"{seq.video_id}: {exc}") from None
 
 
 @dataclass(frozen=True)

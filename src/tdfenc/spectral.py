@@ -1,16 +1,14 @@
 """Magnitude spectra of per-dimension temporal signals and fixed-length resampling.
 
 Each feature dimension of a video is treated as a discrete time signal. Its
-DFT magnitude is computed with an iterative radix-2 FFT (Bluestein's chirp-z
-algorithm covers arbitrary lengths), then resampled to a fixed number of
-points with cubic convolution so that every video shares one normalized
-frequency axis from 0 (DC) to 1 (the sampling rate).
+DFT magnitude is computed with ``numpy.fft``, then resampled to a fixed
+number of points with cubic convolution so that every video shares one
+normalized frequency axis from 0 (DC) to 1 (the sampling rate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,63 +50,6 @@ class Spectrum:
         return self.values.shape[1]
 
 
-@lru_cache(maxsize=64)
-def _bit_reversal_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT along the last axis (power-of-two length)."""
-    n = x.shape[-1]
-    y = np.asarray(x, dtype=np.complex128)[..., _bit_reversal_indices(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = y.reshape(y.shape[:-1] + (n // size, size))
-        upper = blocks[..., :half].copy()
-        spun = blocks[..., half:] * twiddle
-        blocks[..., :half] = upper + spun
-        blocks[..., half:] = upper - spun
-        size *= 2
-    return y
-
-
-def _ifft_pow2(x: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(x))) / x.shape[-1]
-
-
-def _bluestein(x: np.ndarray) -> np.ndarray:
-    """Chirp-z evaluation of the DFT for arbitrary length via power-of-two convolution."""
-    n = x.shape[-1]
-    k = np.arange(n, dtype=np.int64)
-    # phases reduced modulo 2n in exact integer arithmetic to keep angles small
-    chirp = np.exp((-1j * np.pi / n) * ((k * k) % (2 * n)))
-    m = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = x * chirp
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1 :] = np.conj(chirp[1:][::-1])
-    conv = _ifft_pow2(_fft_pow2(a) * _fft_pow2(b))
-    return conv[..., :n] * chirp
-
-
-def _dft_complex(x: np.ndarray) -> np.ndarray:
-    n = x.shape[-1]
-    if n == 1:
-        return x.astype(np.complex128)
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _bluestein(x)
-
-
 def dft_magnitude(signal) -> np.ndarray:
     """Magnitude spectrum of a real signal; output length equals input length.
 
@@ -120,7 +61,7 @@ def dft_magnitude(signal) -> np.ndarray:
         raise DataError("signal must contain at least one sample")
     if not np.all(np.isfinite(x)):
         raise DataError("signal contains non-finite values")
-    return np.abs(_dft_complex(x))
+    return np.abs(np.fft.fft(x, axis=-1))
 
 
 def naive_dft_reference(signal) -> np.ndarray:
@@ -147,6 +88,37 @@ def _keys_outer(t: np.ndarray) -> np.ndarray:
     return ((-0.5 * t + 2.5) * t - 4.0) * t + 2.0
 
 
+def _resample_rows(rows: np.ndarray, target_length: int) -> np.ndarray:
+    """Resample every row of a (rows, N) matrix to ``target_length`` points.
+
+    The kernel taps and weights depend only on (N, L), so they are built once
+    and applied to all rows together.
+    """
+    count, n = rows.shape
+    if n == 1:
+        return np.repeat(rows, target_length, axis=1)
+    if target_length == 1:
+        positions = np.zeros(1)
+    else:
+        positions = np.arange(target_length) * (n - 1) / (target_length - 1)
+    base = np.minimum(positions.astype(np.int64), n - 2)
+    frac = positions - base
+    if n < 4:
+        # linear interpolation with np.interp's arithmetic, exact at the last sample
+        left, right = rows[:, base], rows[:, base + 1]
+        return np.where(positions == n - 1, right, (right - left) * frac + left)
+    padded = np.empty((count, n + 2))
+    padded[:, 1:-1] = rows
+    padded[:, 0] = 2.0 * rows[:, 0] - rows[:, 1]
+    padded[:, -1] = 2.0 * rows[:, -1] - rows[:, -2]
+    weights = np.stack(
+        [_keys_outer(1.0 + frac), _keys_inner(frac), _keys_inner(1.0 - frac), _keys_outer(2.0 - frac)],
+        axis=1,
+    )
+    taps = padded[:, base[:, None] + np.arange(4)[None, :]]
+    return np.sum(weights * taps, axis=-1)
+
+
 def cubic_resample(points, target_length: int) -> np.ndarray:
     """Resample a vector to ``target_length`` points via cubic convolution.
 
@@ -161,27 +133,7 @@ def cubic_resample(points, target_length: int) -> np.ndarray:
         raise DataError("points must be a non-empty vector")
     if target_length < 1:
         raise DataError(f"target_length must be positive, got {target_length}")
-    n = pts.shape[0]
-    if n == 1:
-        return np.full(target_length, pts[0])
-    if target_length == 1:
-        positions = np.zeros(1)
-    else:
-        positions = np.arange(target_length) * (n - 1) / (target_length - 1)
-    if n < 4:
-        return np.interp(positions, np.arange(n), pts)
-    padded = np.empty(n + 2)
-    padded[1:-1] = pts
-    padded[0] = 2.0 * pts[0] - pts[1]
-    padded[-1] = 2.0 * pts[-1] - pts[-2]
-    base = np.minimum(positions.astype(np.int64), n - 2)
-    frac = positions - base
-    weights = np.stack(
-        [_keys_outer(1.0 + frac), _keys_inner(frac), _keys_inner(1.0 - frac), _keys_outer(2.0 - frac)],
-        axis=1,
-    )
-    taps = padded[base[:, None] + np.arange(4)[None, :]]
-    return np.sum(weights * taps, axis=1)
+    return _resample_rows(pts[None, :], target_length)[0]
 
 
 def spectrum_of_sequence(seq: FeatureSequence, target_length: int) -> Spectrum:
@@ -193,10 +145,6 @@ def spectrum_of_sequence(seq: FeatureSequence, target_length: int) -> Spectrum:
     """
     if target_length < 1:
         raise DataError(f"target_length must be positive, got {target_length}")
-    magnitudes = dft_magnitude(seq.values)
-    rows = np.empty((seq.dims, target_length))
-    for k in range(seq.dims):
-        rows[k] = cubic_resample(magnitudes[k], target_length)
-    np.maximum(rows, 0.0, out=rows)
+    rows = np.maximum(_resample_rows(dft_magnitude(seq.values), target_length), 0.0)
     axis = np.linspace(0.0, 1.0, target_length) if target_length > 1 else np.zeros(1)
     return Spectrum(values=rows, frequency_axis=axis)

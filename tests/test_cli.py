@@ -213,3 +213,23 @@ def test_encoded_vectors_load_back(dataset, tmp_path, capsys):
         vector = load_video_vector(entry.feature_path)
         assert vector.method == "fused"
         assert vector.dims == 8 + 64
+
+
+def test_encode_rejects_manifest_id_outside_out_dir(dataset, tmp_path, capsys):
+    manifest_path, config_path = dataset
+    bundle_dir = tmp_path / "bundle"
+    assert main(["fit", "--config", str(config_path), "--manifest", str(manifest_path),
+                 "--out", str(bundle_dir)]) == 0
+    feature_path = read_manifest(bundle_dir / "test.tsv").entries[0].feature_path
+    hostile = tmp_path / "hostile.tsv"
+    hostile.write_text(f"../escaped_00\t{feature_path}\t0\n", encoding="utf-8")
+    before = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    out_dir = tmp_path / "enc"
+    code = main(["encode", "--config", str(config_path), "--bundle", str(bundle_dir),
+                 "--manifest", str(hostile), "--out", str(out_dir)])
+    assert code == 2
+    assert "line 1" in capsys.readouterr().err
+    written = set(tmp_path.rglob("*")) - before
+    assert all(out_dir in path.parents for path in written if path != out_dir)
+    assert not (tmp_path / "escaped_00.tdfv").exists()

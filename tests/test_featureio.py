@@ -149,6 +149,14 @@ def test_manifest_label_gap(tmp_path):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("video_id", [".", "..", "../escaped_00", "a/b", "a\\b", "a\0b"])
+def test_manifest_rejects_ids_that_are_not_file_names(tmp_path, video_id):
+    path = tmp_path / "m.tsv"
+    _write_lines(path, ["a\tf1.bin\t0", f"{video_id}\tf2.bin\t1"])
+    with pytest.raises(ManifestError, match="line 2"):
+        read_manifest(path)
+
+
 def test_manifest_eight_class_structure(tmp_path):
     # mirrors an 8-category dataset with at least 100 entries per class
     path = tmp_path / "m.tsv"

@@ -269,6 +269,12 @@ class TestEncodeVideo:
             encode_video(config, ModelBundle(), seq)
 
 
+    def test_zero_energy_video_names_video_and_branch(self):
+        seq = FeatureSequence("silent_07", np.zeros((3, 12)))
+        config = PipelineConfig(spectrum_length=16)
+        with pytest.raises(DataError, match="silent_07: time branch: cannot scale zero vector"):
+            encode_video(config, ModelBundle(), seq)
+
 class TestFitModels:
     def test_no_pca_requested_no_pca_fitted(self, tmp_path):
         manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")

@@ -148,6 +148,23 @@ class TestSpectrumOfSequence:
         assert abs(spectrum.frequency_axis[peak] - 0.125) < 0.02
         assert abs(spectrum.frequency_axis[mirror] - 0.875) < 0.02
 
+    def test_rows_match_single_row_resampling_for_every_length(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3, 4, 5, 64, 97, 347):
+            values = rng.normal(size=(3, n))
+            for length in (1, 7, 200):
+                spectrum = spectrum_of_sequence(FeatureSequence("v", values), length)
+                for row, out in zip(values, spectrum.values):
+                    np.testing.assert_array_equal(
+                        out, np.maximum(cubic_resample(dft_magnitude(row), length), 0.0)
+                    )
+                    np.testing.assert_allclose(
+                        out,
+                        np.maximum(cubic_resample(naive_dft_reference(row), length), 0.0),
+                        rtol=0.0,
+                        atol=1e-9,
+                    )
+
     def test_values_clamped_non_negative(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
