@@ -12,9 +12,10 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .featureio import read_feature_sequence, read_manifest, split_train_test, write_manifest, DatasetManifest, ManifestEntry
+from .featureio import read_manifest, split_train_test, write_manifest, DatasetManifest, ManifestEntry
 from .encode import load_video_vector, save_video_vector
 from .pipeline import (
+    _read_sequence_checked,
     encode_video,
     evaluate,
     fit_models,
@@ -101,8 +102,10 @@ def _cmd_encode(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     index_entries = []
+    dims: int | None = None
     for e in manifest.entries:
-        seq = read_feature_sequence(e.feature_path, e.video_id)
+        seq = _read_sequence_checked(e, dims)
+        dims = seq.dims
         vector = encode_video(config, bundle, seq)
         path = out_dir / f"{e.video_id}.tdfv"
         save_video_vector(vector, path)

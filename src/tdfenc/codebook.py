@@ -27,6 +27,17 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
+def _row_sums(data: np.ndarray, labels: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum of the rows of ``data`` that share each label, as a num_rows x d matrix.
+
+    Rows are added in order, so the sums equal ``np.add.at`` bit for bit.
+    """
+    d = data.shape[1]
+    flat = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=data.ravel(), minlength=num_rows * d)
+    return sums.reshape(num_rows, d)
+
+
 @dataclass(frozen=True)
 class Codebook:
     """K centroid vectors quantizing descriptor space."""
@@ -171,8 +182,7 @@ def kmeans_fit(
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, data)
+        sums = _row_sums(data, labels, num_words)
         counts = np.bincount(labels, minlength=num_words)
         centroids = sums / counts[:, None]
     return Codebook(centroids=centroids)
@@ -185,8 +195,7 @@ def assign_nearest(codebook: Codebook, x) -> int:
         raise DataError(
             f"dimension mismatch: descriptor shape {vec.shape}, codebook dims {codebook.dims}"
         )
-    distances = np.sum((codebook.centroids - vec) ** 2, axis=1)
-    return int(np.argmin(distances))
+    return int(np.argmin(_squared_distances(vec[None, :], codebook.centroids)[0]))
 
 
 def _log_densities(model: GmmModel, data: np.ndarray) -> np.ndarray:

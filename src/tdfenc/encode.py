@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .codebook import Codebook, GmmModel, gmm_responsibilities
+from .codebook import Codebook, GmmModel, _row_sums, _squared_distances, gmm_responsibilities
 from .errors import DataError, FormatError
 from .preprocess import scale_to_norm
 
@@ -81,12 +81,60 @@ def average_pool(descriptors, branch: str = "time") -> VideoVector:
     return VideoVector(values=data.mean(axis=0), method="average", branch=branch)
 
 
+def _nearest_words(distances: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest distances as indices ordered by (distance, index).
+
+    Equal to ``np.argsort(distances, axis=1, kind="stable")[:, :k]``: a partial
+    selection, then a full stable sort only for rows where words tie at the
+    k-th distance, so ties still break toward the lowest index.
+    """
+    part = np.argpartition(distances, k - 1, axis=1)
+    kth = np.take_along_axis(distances, part[:, k - 1 : k], axis=1)
+    nearest = part[:, :k]
+    tied = np.count_nonzero(distances <= kth, axis=1) > k
+    if np.any(tied):
+        nearest[tied] = np.argsort(distances[tied], axis=1, kind="stable")[:, :k]
+    nearest = np.sort(nearest, axis=1)
+    order = np.argsort(np.take_along_axis(distances, nearest, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(nearest, order, axis=1)
+
+
+def _llc_codes(codebook: Codebook, params: LlcParams, data: np.ndarray) -> np.ndarray:
+    """Locality codes of every row of an N x d descriptor matrix, as an N x K matrix.
+
+    Each descriptor is fit as an affine combination of its ``neighbors``
+    nearest codewords: solve (C + lam*I) c = 1 on the local covariance
+    C = (B - x)(B - x)^T, then rescale so the code sums to exactly 1. All N
+    local systems are solved in one batched call. Non-neighbor entries stay
+    zero; the matrix is dense because codes can be negative.
+    """
+    if data.shape[1] != codebook.dims:
+        raise DataError(
+            f"dimension mismatch: descriptors have {data.shape[1]} dims, "
+            f"codebook has {codebook.dims}"
+        )
+    k = params.neighbors
+    if k > codebook.num_words:
+        raise DataError(f"neighbors={k} exceeds codebook size {codebook.num_words}")
+    nearest = _nearest_words(_squared_distances(data, codebook.centroids), k)
+    shifted = codebook.centroids[nearest] - data[:, None, :]
+    local_cov = shifted @ shifted.transpose(0, 2, 1)
+    local_cov += params.lam * np.eye(k)
+    try:
+        raw = np.linalg.solve(local_cov, np.ones((data.shape[0], k, 1)))[..., 0]
+    except np.linalg.LinAlgError:
+        raise DataError("singular LLC system; use a positive lam") from None
+    codes = np.zeros((data.shape[0], codebook.num_words))
+    np.put_along_axis(codes, nearest, raw / raw.sum(axis=1, keepdims=True), axis=1)
+    return codes
+
+
 def llc_encode(codebook: Codebook, params: LlcParams, x) -> np.ndarray:
     """Sparse locality-constrained code of one descriptor over the codebook.
 
-    The descriptor is fit as an affine combination of its ``neighbors``
-    nearest codewords: solve (C + lam*I) c = 1 on the local covariance
-    C = (B - x)(B - x)^T, then rescale so the code sums to exactly 1.
+    Runs the same batched kernel as ``llc_pool`` on one row: the descriptor is
+    fit as an affine combination of its ``neighbors`` nearest codewords (ties
+    at equal distance go to the lowest index) and the code sums to exactly 1.
     Non-neighbor entries stay zero.
     """
     vec = np.asarray(x, dtype=np.float64)
@@ -94,30 +142,17 @@ def llc_encode(codebook: Codebook, params: LlcParams, x) -> np.ndarray:
         raise DataError(
             f"dimension mismatch: descriptor shape {vec.shape}, codebook dims {codebook.dims}"
         )
-    if params.neighbors > codebook.num_words:
-        raise DataError(
-            f"neighbors={params.neighbors} exceeds codebook size {codebook.num_words}"
-        )
-    distances = np.sum((codebook.centroids - vec) ** 2, axis=1)
-    nearest = np.argsort(distances, kind="stable")[: params.neighbors]
-    shifted = codebook.centroids[nearest] - vec
-    local_cov = shifted @ shifted.T
-    local_cov[np.diag_indices_from(local_cov)] += params.lam
-    try:
-        raw = np.linalg.solve(local_cov, np.ones(params.neighbors))
-    except np.linalg.LinAlgError:
-        raise DataError("singular LLC system; use a positive lam") from None
-    code = np.zeros(codebook.num_words)
-    code[nearest] = raw / raw.sum()
-    return code
+    return _llc_codes(codebook, params, vec[None, :])[0]
 
 
 def llc_pool(codebook: Codebook, params: LlcParams, descriptors, branch: str = "time") -> VideoVector:
-    """Elementwise maximum of the per-descriptor locality codes."""
+    """Elementwise maximum of the locality codes of every descriptor.
+
+    All descriptors are coded in one batched pass, with the same neighbor
+    selection and lowest-index tie-break as ``llc_encode``.
+    """
     data = _as_descriptor_matrix(descriptors)
-    pooled = llc_encode(codebook, params, data[0])
-    for row in data[1:]:
-        np.maximum(pooled, llc_encode(codebook, params, row), out=pooled)
+    pooled = _llc_codes(codebook, params, data).max(axis=0)
     return VideoVector(values=pooled, method="llc", branch=branch)
 
 
@@ -177,14 +212,8 @@ def vlad_encode(
             f"dimension mismatch: descriptors have {data.shape[1]} dims, "
             f"codebook has {codebook.dims}"
         )
-    sq = (
-        np.sum(data * data, axis=1)[:, None]
-        + np.sum(codebook.centroids * codebook.centroids, axis=1)[None, :]
-        - 2.0 * data @ codebook.centroids.T
-    )
-    labels = np.argmin(sq, axis=1)
-    residuals = np.zeros((codebook.num_words, codebook.dims))
-    np.add.at(residuals, labels, data - codebook.centroids[labels])
+    labels = np.argmin(_squared_distances(data, codebook.centroids), axis=1)
+    residuals = _row_sums(data - codebook.centroids[labels], labels, codebook.num_words)
     values = residuals.ravel()
     if normalize:
         values = _signed_sqrt_l2(values)

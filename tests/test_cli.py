@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tdfenc import read_feature_sequence, read_manifest
+from tdfenc import FeatureSequence, read_feature_sequence, read_manifest, write_feature_sequence
 from tdfenc.cli import main
 from tdfenc.encode import load_video_vector
 
@@ -233,3 +233,23 @@ def test_encode_rejects_manifest_id_outside_out_dir(dataset, tmp_path, capsys):
     written = set(tmp_path.rglob("*")) - before
     assert all(out_dir in path.parents for path in written if path != out_dir)
     assert not (tmp_path / "escaped_00.tdfv").exists()
+
+
+def test_encode_rejects_video_of_other_dims(dataset, tmp_path, capsys):
+    manifest_path, config_path = dataset
+    bundle_dir = tmp_path / "bundle"
+    assert main(["fit", "--config", str(config_path), "--manifest", str(manifest_path),
+                 "--out", str(bundle_dir)]) == 0
+    entries = read_manifest(bundle_dir / "test.tsv").entries
+    odd_path = tmp_path / "odd.tdfe"
+    values = np.random.default_rng(0).normal(size=(3, 40))
+    write_feature_sequence(FeatureSequence("odd_video", values), odd_path)
+    mixed = tmp_path / "mixed.tsv"
+    lines = [f"{e.video_id}\t{e.feature_path}\t{e.label}\n" for e in entries[:2]]
+    mixed.write_text("".join(lines) + f"odd_video\t{odd_path}\t1\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["encode", "--config", str(config_path), "--bundle", str(bundle_dir),
+                 "--manifest", str(mixed), "--out", str(tmp_path / "enc")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "odd_video" in err and "3 descriptor dims" in err

@@ -16,6 +16,7 @@ from tdfenc import (
     save_video_vector,
     vlad_encode,
 )
+from tdfenc.encode import _nearest_words
 from tdfenc.errors import DataError
 
 from oracles import fisher_finite_difference_oracle, llc_projected_gradient_oracle
@@ -123,6 +124,65 @@ class TestLlc:
         pooled = llc_pool(codebook, params, data)
         stacked = np.stack([llc_encode(codebook, params, row) for row in data])
         np.testing.assert_array_equal(pooled.values, stacked.max(axis=0))
+
+    def test_ties_at_kth_distance_break_to_lowest_index(self):
+        # integer-grid codewords and half-integer descriptors: many words sit
+        # at exactly the k-th distance, and every distance is exact
+        grid = np.array([[i, j] for i in range(5) for j in range(5)], dtype=np.float64)
+        codebook = Codebook(grid)
+        data = np.array([[1.5, 1.5], [1.5, 2.0], [2.0, 2.0], [0.5, 3.0], [4.0, 0.5], [2.5, 2.5]])
+        exact = np.sum((data[:, None, :] - grid[None, :, :]) ** 2, axis=2)
+        for k in (1, 2, 3, 4, 5, 6, 8, 25):
+            reference = np.argsort(exact, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(_nearest_words(exact, k), reference)
+            params = LlcParams(neighbors=k)
+            codes = np.stack([llc_encode(codebook, params, x) for x in data])
+            for code, words in zip(codes, reference):
+                np.testing.assert_array_equal(np.flatnonzero(code), np.sort(words))
+            pooled = llc_pool(codebook, params, data)
+            np.testing.assert_array_equal(pooled.values, codes.max(axis=0))
+
+    def test_pool_matches_per_descriptor_kkt_solve(self):
+        rng = np.random.default_rng(7)
+        codebook = Codebook(rng.normal(size=(64, 8)))
+        params = LlcParams(neighbors=5, lam=1e-4)
+        data = rng.normal(size=(500, 8))
+        pooled = llc_pool(codebook, params, data)
+        stacked = np.stack([llc_encode(codebook, params, row) for row in data])
+        np.testing.assert_array_equal(pooled.values, stacked.max(axis=0))
+        k = params.neighbors
+        expected = np.full(codebook.num_words, -np.inf)
+        for x in data:
+            # minimize c^T (C + lam I) c subject to sum(c) = 1 via its KKT system
+            distances = np.sum((codebook.centroids - x) ** 2, axis=1)
+            nearest = np.argsort(distances, kind="stable")[:k]
+            shifted = codebook.centroids[nearest] - x
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = 2.0 * (shifted @ shifted.T + params.lam * np.eye(k))
+            kkt[:k, k] = kkt[k, :k] = 1.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            code = np.zeros(codebook.num_words)
+            code[nearest] = np.linalg.solve(kkt, rhs)[:k]
+            np.maximum(expected, code, out=expected)
+        np.testing.assert_allclose(pooled.values, expected, rtol=0, atol=1e-10)
+
+    def test_pool_one_singular_row_raises(self):
+        codebook = Codebook(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [3.0, 3.0]]))
+        params = LlcParams(neighbors=2, lam=0.0)
+        regular = np.array([[0.3, 0.9], [2.2, 2.1], [0.4, 2.5]])
+        llc_pool(codebook, params, regular)
+        # (1, 0) lies on the line through its two nearest codewords
+        batch = np.vstack([regular[:2], [[1.0, 0.0]], regular[2:]])
+        with pytest.raises(DataError, match="singular"):
+            llc_pool(codebook, params, batch)
+
+    def test_pool_rejects_bad_shapes(self):
+        codebook = Codebook(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DataError, match="dimension mismatch"):
+            llc_pool(codebook, LlcParams(neighbors=2), np.zeros((4, 3)))
+        with pytest.raises(DataError, match="exceeds codebook size"):
+            llc_pool(codebook, LlcParams(neighbors=4), np.zeros((4, 2)))
 
 
 class TestFisher:
