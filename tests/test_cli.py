@@ -253,3 +253,24 @@ def test_encode_rejects_video_of_other_dims(dataset, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "odd_video" in err and "3 descriptor dims" in err
+
+
+def test_encode_failure_leaves_no_vectors(dataset, tmp_path, capsys):
+    manifest_path, config_path = dataset
+    bundle_dir = tmp_path / "bundle"
+    assert main(["fit", "--config", str(config_path), "--manifest", str(manifest_path),
+                 "--out", str(bundle_dir)]) == 0
+    first = read_manifest(bundle_dir / "test.tsv").entries[0]
+    odd_path = tmp_path / "odd.tdfe"
+    values = np.random.default_rng(1).normal(size=(3, 40))
+    write_feature_sequence(FeatureSequence("odd_video", values), odd_path)
+    two = tmp_path / "two.tsv"
+    two.write_text(f"{first.video_id}\t{first.feature_path}\t{first.label}\n"
+                   f"odd_video\t{odd_path}\t1\n", encoding="utf-8")
+    out_dir = tmp_path / "enc"
+    code = main(["encode", "--config", str(config_path), "--bundle", str(bundle_dir),
+                 "--manifest", str(two), "--out", str(out_dir)])
+    assert code == 2
+    assert "odd_video" in capsys.readouterr().err
+    assert list(out_dir.rglob("*.tdfv")) == []
+    assert not (out_dir / "index.tsv").exists()

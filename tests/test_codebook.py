@@ -13,7 +13,13 @@ from tdfenc import (
     save_codebook,
     save_gmm_model,
 )
-from tdfenc.codebook import _repair_empty_clusters
+from tdfenc.codebook import (
+    _LABEL_BLOCK_ROWS,
+    _kmeans_pp_init,
+    _nearest_labels,
+    _repair_empty_clusters,
+    _squared_distances,
+)
 from tdfenc.errors import DataError
 
 
@@ -60,6 +66,77 @@ class TestKmeans:
         repaired = _repair_empty_clusters(data, centroids, labels)
         assert repaired[3] == 1  # farthest point reseats the empty cluster
         np.testing.assert_array_equal(centroids[1], [50.0])
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_descriptors_rejected(self, bad):
+        data = np.random.default_rng(0).normal(size=(30, 3))
+        data[17, 1] = bad
+        with pytest.raises(DataError, match="descriptors contain non-finite values"):
+            kmeans_fit(data, 4, seed=0)
+
+    def test_overflowing_distances_rejected(self):
+        data = np.array([[1e200], [-1e200], [0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="overflow"):
+                kmeans_fit(data, 2, seed=0)
+
+
+def _reference_pp_init(data, num_words, rng):
+    """k-means++ seeding as a plain loop over rng.choice with explicit probabilities."""
+    m = data.shape[0]
+    chosen = [int(rng.integers(m))]
+    min_sq = _squared_distances(data, data[chosen[-1]][None, :])[:, 0]
+    for _ in range(num_words - 1):
+        total = float(min_sq.sum())
+        if total <= 0.0:
+            nxt = min(set(range(m)) - set(chosen))
+        else:
+            nxt = int(rng.choice(m, p=min_sq / total))
+        chosen.append(nxt)
+        min_sq = np.minimum(min_sq, _squared_distances(data, data[nxt][None, :])[:, 0])
+    return data[chosen]
+
+
+class TestKmeansPlusPlusInit:
+    @pytest.mark.parametrize("seed", [1, 2, 101])
+    @pytest.mark.parametrize("shape,num_words", [((500, 16), 64), ((300, 40), 16), ((50, 2), 50)])
+    def test_draws_equal_rng_choice(self, seed, shape, num_words):
+        data = np.random.default_rng(seed).normal(size=shape)
+        expected = _reference_pp_init(data, num_words, np.random.default_rng(seed))
+        got = _kmeans_pp_init(data, num_words, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, expected)
+
+    def test_coinciding_points_take_lowest_free_index(self):
+        data = np.repeat(np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 5.0]]), 4, axis=0)
+        for seed in range(5):
+            expected = _reference_pp_init(data, 6, np.random.default_rng(seed))
+            got = _kmeans_pp_init(data, 6, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, expected)
+
+
+class TestNearestLabels:
+    @pytest.mark.parametrize(
+        "num_points", [1, _LABEL_BLOCK_ROWS - 1, _LABEL_BLOCK_ROWS, _LABEL_BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("num_centers", [1, 16, 256])
+    def test_matches_argmin_of_squared_distances(self, num_points, num_centers):
+        rng = np.random.default_rng(num_points * 1000 + num_centers)
+        points = rng.normal(size=(num_points, 8))
+        centers = rng.normal(size=(num_centers, 8))
+        expected = np.argmin(_squared_distances(points, centers), axis=1)
+        np.testing.assert_array_equal(_nearest_labels(points, centers), expected)
+
+    def test_ties_break_to_lowest_index(self):
+        # every half-integer point is equidistant from the 4 grid corners
+        # around it, and every score is exact in floating point
+        grid = np.array([[i, j] for i in range(4) for j in range(4)], dtype=np.float64)
+        points = np.array([[i + 0.5, j + 0.5] for i in range(3) for j in range(3)])
+        points = np.vstack([points, grid[::-1]])
+        exact = np.sum((points[:, None, :] - grid[None, :, :]) ** 2, axis=2)
+        expected = np.argmin(exact, axis=1)
+        assert np.sum(exact[:9] == exact[:9].min(axis=1, keepdims=True)) == 36
+        np.testing.assert_array_equal(_nearest_labels(points, grid), expected)
 
 
 class TestAssignNearest:
@@ -129,6 +206,13 @@ class TestGmmFit:
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.variances, b.variances)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_descriptors_rejected(self, bad):
+        data = np.random.default_rng(0).normal(size=(30, 3))
+        data[4, 0] = bad
+        with pytest.raises(DataError, match="descriptors contain non-finite values"):
+            gmm_fit(data, 3, seed=0)
 
     def test_too_few_points(self):
         with pytest.raises(DataError):
