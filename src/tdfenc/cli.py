@@ -12,11 +12,11 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .featureio import read_manifest, split_train_test, write_manifest, DatasetManifest, ManifestEntry
+from .featureio import read_manifest, write_manifest, DatasetManifest, ManifestEntry
 from .encode import load_video_vector, save_video_vector
 from .pipeline import (
-    _read_sequence_checked,
-    encode_video,
+    _encode_manifest,
+    _repetition_split,
     evaluate,
     fit_models,
     generate_synthetic_dataset,
@@ -84,9 +84,7 @@ def _cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the first repetition's split, so staged runs mirror `run --repeat 1`
-    train_manifest, test_manifest = split_train_test(
-        manifest, config.train_fraction, config.seed + 1
-    )
+    train_manifest, test_manifest = _repetition_split(config, manifest, 1)
     write_manifest(train_manifest, out_dir / "train.tsv")
     write_manifest(test_manifest, out_dir / "test.tsv")
     bundle = fit_models(config, train_manifest)
@@ -100,16 +98,11 @@ def _cmd_encode(args) -> int:
     manifest = read_manifest(args.manifest)
     bundle = load_bundle(config, args.bundle)
     # encode every video before writing any, so a failing video leaves no output
-    vectors = []
-    dims: int | None = None
-    for e in manifest.entries:
-        seq = _read_sequence_checked(e, dims)
-        dims = seq.dims
-        vectors.append(encode_video(config, bundle, seq))
+    pairs = _encode_manifest(config, bundle, manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     index_entries = []
-    for e, vector in zip(manifest.entries, vectors):
+    for e, (vector, _) in zip(manifest.entries, pairs):
         path = out_dir / f"{e.video_id}.tdfv"
         save_video_vector(vector, path)
         index_entries.append(ManifestEntry(e.video_id, path, e.label))

@@ -141,6 +141,8 @@ class GmmModel:
         return self.means.shape[1]
 
 
+# an overflow shows up as a non-finite distance total, which raises DataError below
+@np.errstate(over="ignore", invalid="ignore")
 def _kmeans_pp_init(data: np.ndarray, num_words: int, rng: np.random.Generator) -> np.ndarray:
     m = data.shape[0]
     doubled = 2.0 * data

@@ -39,7 +39,7 @@ from .featureio import (
     write_manifest,
 )
 from .preprocess import PcaModel, load_pca_model, pca_fit, pca_transform, save_pca_model
-from .spectral import spectrum_of_sequence
+from .spectral import _spectrum_rows
 from .svm import LinearSvmModel, predict, train_linear_svm
 
 ENCODERS = ("average", "llc", "fv", "vlad")
@@ -335,37 +335,48 @@ def _normalized_frames(seq: FeatureSequence) -> np.ndarray:
     return frames
 
 
-def _reduced_frames(config: PipelineConfig, bundle_pca: PcaModel | None, seq: FeatureSequence) -> np.ndarray:
-    frames = _normalized_frames(seq)
-    if config.pca_dims is None:
-        return frames
-    if bundle_pca is None:
-        raise DataError("pca stage: config requests PCA but the bundle has no PCA model")
-    if bundle_pca.input_dims != seq.dims:
-        raise DataError(
-            f"pca stage: sequence has {seq.dims} dims, PCA expects {bundle_pca.input_dims}"
-        )
-    if bundle_pca.output_dims != config.pca_dims:
-        raise DataError(
-            f"pca stage: bundle was fitted at pca_dims={bundle_pca.output_dims}, "
-            f"config requests {config.pca_dims}"
-        )
-    return pca_transform(bundle_pca, frames)
+def _read_frames(manifest: DatasetManifest, dims: int | None = None):
+    """Yield (entry, normalized frames) per video; all must have one dims, ``dims`` if given."""
+    for e in manifest.entries:
+        seq = read_feature_sequence(e.feature_path, e.video_id)
+        if dims is not None and seq.dims != dims:
+            raise DataError(f"{e.video_id}: has {seq.dims} descriptor dims, dataset uses {dims}")
+        dims = seq.dims
+        yield e, _normalized_frames(seq)
 
 
-def _dft_descriptors(config: PipelineConfig, frames: np.ndarray, video_id: str) -> np.ndarray:
-    reduced_seq = FeatureSequence(video_id=video_id, values=frames.T)
-    spectrum = spectrum_of_sequence(reduced_seq, config.spectrum_length)
-    if config.dft_pool_axis == "frequency":
-        return spectrum.values.T
-    return spectrum.values
+def _descriptor_sets(
+    config: PipelineConfig, pca: PcaModel | None, frames: np.ndarray, time: bool, dft: bool
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(time, spectrum) descriptor sets of normalized frames; None for a branch not asked for."""
+    if config.pca_dims is not None and (time or dft):
+        if pca is None:
+            raise DataError("pca stage: config requests PCA but the bundle has no PCA model")
+        if pca.input_dims != frames.shape[1]:
+            raise DataError(
+                f"pca stage: sequence has {frames.shape[1]} dims, PCA expects {pca.input_dims}"
+            )
+        if pca.output_dims != config.pca_dims:
+            raise DataError(
+                f"pca stage: bundle was fitted at pca_dims={pca.output_dims}, "
+                f"config requests {config.pca_dims}"
+            )
+        frames = pca_transform(pca, frames)
+    spectrum = None
+    if dft:
+        spectrum = _spectrum_rows(frames.T, config.spectrum_length)
+        if config.dft_pool_axis == "frequency":
+            spectrum = spectrum.T
+    return (frames if time else None), spectrum
 
 
 def _fit_branch_model(
-    config: PipelineConfig, branch: str, encoder: str, descriptors: np.ndarray
+    config: PipelineConfig, branch: str, parts: list[np.ndarray]
 ) -> Codebook | GmmModel | None:
+    encoder = getattr(config, f"{branch}_encoder")
     if encoder == "average":
         return None
+    descriptors = np.vstack(parts)
     size = config.codebook_size(branch)
     offset = _TIME_FIT_SEED_OFFSET if branch == "time" else _DFT_FIT_SEED_OFFSET
     seed = config.seed + offset
@@ -379,13 +390,22 @@ def _fit_branch_model(
     return kmeans_fit(descriptors, size, seed, config.kmeans_max_iters)
 
 
-def _read_sequence_checked(entry: ManifestEntry, expected_dims: int | None) -> FeatureSequence:
-    seq = read_feature_sequence(entry.feature_path, entry.video_id)
-    if expected_dims is not None and seq.dims != expected_dims:
-        raise DataError(
-            f"{entry.video_id}: has {seq.dims} descriptor dims, dataset uses {expected_dims}"
-        )
-    return seq
+def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: bool):
+    """Fit the bundle on one read of each video; also return the videos' dims and
+    (entry, descriptor sets) per video for the branches asked for."""
+    videos = list(_read_frames(manifest))
+    pca = None
+    if config.pca_dims is not None:
+        sample = np.vstack([frames for _, frames in videos])
+        if sample.shape[0] > PCA_SAMPLE_CAP:
+            rng = np.random.default_rng(config.seed)
+            keep = np.sort(rng.choice(sample.shape[0], PCA_SAMPLE_CAP, replace=False))
+            sample = sample[keep]
+        pca = pca_fit(sample, config.pca_dims)
+    sets = [(e, _descriptor_sets(config, pca, frames, time, dft)) for e, frames in videos]
+    time_model = _fit_branch_model(config, "time", [t for _, (t, _) in sets]) if time else None
+    dft_model = _fit_branch_model(config, "dft", [d for _, (_, d) in sets]) if dft else None
+    return ModelBundle(pca, time_model, dft_model), videos[0][1].shape[1], sets
 
 
 def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle:
@@ -393,53 +413,22 @@ def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle
 
     PCA sees a seeded uniform subsample of the normalized frame descriptors
     (capped at 100,000). Branch models are fitted on that branch's descriptors
-    from the training videos only, with separate seeds per branch.
+    from the training videos only, with separate seeds per branch. Each video
+    is read once, and only if PCA or a codebook needs it; the descriptor sets
+    are computed only for branches with a codebook and are dropped on return.
     """
     config.validate()
-    dims: int | None = None
-    pca = None
-    if config.pca_dims is not None:
-        chunks = []
-        for e in manifest.entries:
-            seq = _read_sequence_checked(e, dims)
-            dims = seq.dims
-            chunks.append(_normalized_frames(seq))
-        sample = np.vstack(chunks)
-        if sample.shape[0] > PCA_SAMPLE_CAP:
-            rng = np.random.default_rng(config.seed)
-            keep = np.sort(rng.choice(sample.shape[0], PCA_SAMPLE_CAP, replace=False))
-            sample = sample[keep]
-        pca = pca_fit(sample, config.pca_dims)
-    need_time = config.time_branch_enabled and config.time_encoder != "average"
-    need_dft = config.dft_branch_enabled and config.dft_encoder != "average"
-    time_model = dft_model = None
-    if need_time or need_dft:
-        time_parts: list[np.ndarray] = []
-        dft_parts: list[np.ndarray] = []
-        for e in manifest.entries:
-            seq = _read_sequence_checked(e, dims)
-            dims = seq.dims
-            frames = _reduced_frames(config, pca, seq)
-            if need_time:
-                time_parts.append(frames)
-            if need_dft:
-                dft_parts.append(_dft_descriptors(config, frames, e.video_id))
-        if need_time:
-            time_model = _fit_branch_model(
-                config, "time", config.time_encoder, np.vstack(time_parts)
-            )
-        if need_dft:
-            dft_model = _fit_branch_model(config, "dft", config.dft_encoder, np.vstack(dft_parts))
-    return ModelBundle(pca=pca, time_model=time_model, dft_model=dft_model)
+    time = config.time_branch_enabled and config.time_encoder != "average"
+    dft = config.dft_branch_enabled and config.dft_encoder != "average"
+    if config.pca_dims is None and not (time or dft):
+        return ModelBundle()
+    return _fit(config, manifest, time, dft)[0]
 
 
 def _encode_descriptor_set(
-    config: PipelineConfig,
-    branch: str,
-    encoder: str,
-    model: Codebook | GmmModel | None,
-    descriptors: np.ndarray,
+    config: PipelineConfig, bundle: ModelBundle, branch: str, descriptors: np.ndarray
 ) -> VideoVector:
+    encoder, model = getattr(config, f"{branch}_encoder"), getattr(bundle, f"{branch}_model")
     if encoder == "average":
         return average_pool(descriptors, branch=branch)
     if model is None:
@@ -457,6 +446,17 @@ def _encode_descriptor_set(
     return vlad_encode(model, descriptors, branch=branch, normalize=config.signed_sqrt_l2)
 
 
+def _fuse_sets(config: PipelineConfig, bundle: ModelBundle, video_id: str, sets) -> VideoVector:
+    branches = [
+        (_encode_descriptor_set(config, bundle, branch, d), getattr(config, f"fusion_{branch}_norm"))
+        for branch, d in zip(("time", "dft"), sets) if d is not None
+    ]
+    try:
+        return fuse(branches)
+    except DataError as exc:
+        raise DataError(f"{video_id}: {exc}") from None
+
+
 def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequence) -> VideoVector:
     """Fused fixed-length representation of one video.
 
@@ -465,23 +465,11 @@ def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequen
     configured norms and concatenated.
     """
     config.validate()
-    frames = _reduced_frames(config, bundle.pca, seq)
-    branches: list[tuple[VideoVector, float]] = []
-    if config.time_branch_enabled:
-        pooled = _encode_descriptor_set(
-            config, "time", config.time_encoder, bundle.time_model, frames
-        )
-        branches.append((pooled, config.fusion_time_norm))
-    if config.dft_branch_enabled:
-        descriptors = _dft_descriptors(config, frames, seq.video_id)
-        pooled = _encode_descriptor_set(
-            config, "dft", config.dft_encoder, bundle.dft_model, descriptors
-        )
-        branches.append((pooled, config.fusion_dft_norm))
-    try:
-        return fuse(branches)
-    except DataError as exc:
-        raise DataError(f"{seq.video_id}: {exc}") from None
+    sets = _descriptor_sets(
+        config, bundle.pca, _normalized_frames(seq),
+        config.time_branch_enabled, config.dft_branch_enabled,
+    )
+    return _fuse_sets(config, bundle, seq.video_id, sets)
 
 
 @dataclass(frozen=True)
@@ -522,31 +510,43 @@ class ExperimentResult:
 
 
 def _encode_manifest(
-    config: PipelineConfig, bundle: ModelBundle, manifest: DatasetManifest
+    config: PipelineConfig, bundle: ModelBundle, manifest: DatasetManifest, dims: int | None = None
 ) -> list[tuple[VideoVector, int]]:
     pairs = []
-    dims: int | None = None
-    for e in manifest.entries:
-        seq = _read_sequence_checked(e, dims)
-        dims = seq.dims
-        pairs.append((encode_video(config, bundle, seq), e.label))
+    for e, frames in _read_frames(manifest, dims):
+        sets = _descriptor_sets(
+            config, bundle.pca, frames, config.time_branch_enabled, config.dft_branch_enabled
+        )
+        pairs.append((_fuse_sets(config, bundle, e.video_id, sets), e.label))
     return pairs
+
+
+def _repetition_split(config: PipelineConfig, manifest: DatasetManifest, r: int):
+    """The (train, test) split of repetition r, counted from 1."""
+    return split_train_test(manifest, config.train_fraction, config.seed + r)
 
 
 def run_repeated_experiment(
     config: PipelineConfig, manifest: DatasetManifest, repetitions: int
 ) -> ExperimentResult:
-    """Repeat split/fit/encode/train/evaluate; run r splits with seed + r."""
+    """Repeat split/fit/encode/train/evaluate; run r splits with seed + r.
+
+    Each repetition reads every video once. The fit reads the training
+    videos and keeps their descriptor sets until their vectors are pooled;
+    nothing is kept from one repetition to the next. Test videos are then
+    read and encoded one at a time and must have the training videos' dims.
+    """
     if repetitions < 1:
         raise DataError(f"repetitions must be positive, got {repetitions}")
     config.validate()
     reports = []
     for r in range(1, repetitions + 1):
-        train_manifest, test_manifest = split_train_test(
-            manifest, config.train_fraction, config.seed + r
+        train_manifest, test_manifest = _repetition_split(config, manifest, r)
+        bundle, dims, train_sets = _fit(
+            config, train_manifest, config.time_branch_enabled, config.dft_branch_enabled
         )
-        bundle = fit_models(config, train_manifest)
-        train_pairs = _encode_manifest(config, bundle, train_manifest)
+        train_pairs = [(_fuse_sets(config, bundle, e.video_id, s), e.label) for e, s in train_sets]
+        del train_sets  # pooled; kept neither through training nor into the next fit
         model = train_linear_svm(
             train_pairs,
             manifest.num_classes,
@@ -555,7 +555,7 @@ def run_repeated_experiment(
             config.svm_tol,
             seed=config.seed,
         )
-        test_pairs = _encode_manifest(config, bundle, test_manifest)
+        test_pairs = _encode_manifest(config, bundle, test_manifest, dims)
         reports.append(evaluate(model, test_pairs))
     mean = float(np.mean([rep.overall_accuracy for rep in reports]))
     return ExperimentResult(reports=tuple(reports), mean_overall_accuracy=mean)

@@ -145,6 +145,9 @@ def spectrum_of_sequence(seq: FeatureSequence, target_length: int) -> Spectrum:
     """
     if target_length < 1:
         raise DataError(f"target_length must be positive, got {target_length}")
-    rows = np.maximum(_resample_rows(dft_magnitude(seq.values), target_length), 0.0)
     axis = np.linspace(0.0, 1.0, target_length) if target_length > 1 else np.zeros(1)
-    return Spectrum(values=rows, frequency_axis=axis)
+    return Spectrum(values=_spectrum_rows(seq.values, target_length), frequency_axis=axis)
+
+
+def _spectrum_rows(values: np.ndarray, target_length: int) -> np.ndarray:
+    return np.maximum(_resample_rows(dft_magnitude(values), target_length), 0.0)

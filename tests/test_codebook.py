@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,20 @@ class TestKmeans:
         data = np.array([[1e200], [-1e200], [0.0]])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DataError, match="overflow"):
+                kmeans_fit(data, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.array([[1e200], [-1e200], [0.0]]),  # squared norms overflow
+            np.array([[1.2e154], [-1.2e154], [0.0]]),  # norms fit, their sums do not
+            np.tile([[1e153], [-1e153]], (100, 1)),  # distances fit, their total does not
+        ],
+    )
+    def test_overflowing_distances_raise_without_warnings(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="descriptor distances overflow float64"):
                 kmeans_fit(data, 2, seed=0)
 
 

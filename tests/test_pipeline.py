@@ -17,7 +17,9 @@ from tdfenc import (
     read_feature_sequence,
     run_repeated_experiment,
     save_bundle,
+    split_train_test,
     train_linear_svm,
+    write_feature_sequence,
 )
 from tdfenc.errors import ConfigError, DataError
 from tdfenc.pipeline import ModelBundle
@@ -317,6 +319,25 @@ class TestFitModels:
         np.testing.assert_array_equal(a.pca.components, b.pca.components)
         np.testing.assert_array_equal(a.pca.mean, b.pca.mean)
 
+    @pytest.mark.parametrize(
+        "overrides,forbidden",
+        [
+            (dict(pca_dims=3), ("pca_transform", "_spectrum_rows")),
+            (dict(time_encoder="vlad", time_codebook_size=3), ("_spectrum_rows",)),
+        ],
+    )
+    def test_fit_builds_only_the_descriptors_it_fits_on(
+        self, tmp_path, monkeypatch, overrides, forbidden
+    ):
+        manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_models built descriptors it does not fit on")
+
+        for name in forbidden:
+            monkeypatch.setattr(f"tdfenc.pipeline.{name}", refuse)
+        fit_models(PipelineConfig(spectrum_length=16, **overrides), manifest)
+
     def test_mixed_dims_dataset_rejected(self, tmp_path):
         from tdfenc import DatasetManifest, ManifestEntry, write_feature_sequence
 
@@ -448,6 +469,71 @@ class TestRunRepeatedExperiment:
         manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
         with pytest.raises(DataError):
             run_repeated_experiment(PipelineConfig(spectrum_length=16), manifest, 0)
+
+    def test_mixed_dims_names_the_odd_test_video(self, tmp_path):
+        # the test videos are checked against the training videos' dims, so
+        # the first test video is the one blamed, not the next one after it
+        manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+        config = PipelineConfig(spectrum_length=16, svm_c=10.0, seed=3)
+        odd = split_train_test(manifest, config.train_fraction, config.seed + 1)[1].entries[0]
+        values = np.random.default_rng(0).normal(size=(3, 30))
+        write_feature_sequence(FeatureSequence(odd.video_id, values), odd.feature_path)
+        message = f"^{odd.video_id}: has 3 descriptor dims, dataset uses 4$"
+        with pytest.raises(DataError, match=message):
+            run_repeated_experiment(config, manifest, 1)
+
+
+# PCA with a codebook encoder on at least one branch; no benchmark workload runs this
+_PCA_CODEBOOK_CONFIGS = [
+    dict(time_encoder="vlad", dft_encoder="fv", time_codebook_size=3, dft_codebook_size=4),
+    dict(time_encoder="llc", time_codebook_size=4, llc_neighbors=2),
+    dict(dft_encoder="vlad", dft_codebook_size=4, dft_pool_axis="frequency"),
+]
+
+
+@pytest.mark.parametrize("overrides", _PCA_CODEBOOK_CONFIGS)
+def test_experiment_reads_each_video_once_per_repetition(tmp_path, monkeypatch, overrides):
+    manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+    config = PipelineConfig(pca_dims=3, spectrum_length=16, svm_c=10.0, seed=3, **overrides)
+    reads = []
+
+    def counting_read(path, video_id=None):
+        reads.append(video_id)
+        return read_feature_sequence(path, video_id)
+
+    monkeypatch.setattr("tdfenc.pipeline.read_feature_sequence", counting_read)
+    run_repeated_experiment(config, manifest, 2)
+    ids = sorted(e.video_id for e in manifest.entries)
+    assert sorted(reads) == sorted(ids + ids)
+
+
+@pytest.mark.parametrize("overrides", _PCA_CODEBOOK_CONFIGS)
+def test_experiment_vectors_equal_fit_then_encode_video(tmp_path, monkeypatch, overrides):
+    manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+    config = PipelineConfig(pca_dims=3, spectrum_length=16, svm_c=10.0, seed=3, **overrides)
+    seen = []
+
+    def capturing_train(train, *args, **kwargs):
+        seen.append(("train", list(train)))
+        return train_linear_svm(train, *args, **kwargs)
+
+    def capturing_evaluate(model, test):
+        seen.append(("test", list(test)))
+        return evaluate(model, test)
+
+    monkeypatch.setattr("tdfenc.pipeline.train_linear_svm", capturing_train)
+    monkeypatch.setattr("tdfenc.pipeline.evaluate", capturing_evaluate)
+    run_repeated_experiment(config, manifest, 2)
+    assert [name for name, _ in seen] == ["train", "test"] * 2
+    for r in (1, 2):
+        train, test = split_train_test(manifest, config.train_fraction, config.seed + r)
+        bundle = fit_models(config, train)
+        for part, (_, pairs) in zip((train, test), seen[2 * r - 2 : 2 * r]):
+            assert [label for _, label in pairs] == [e.label for e in part.entries]
+            for (vector, _), e in zip(pairs, part.entries):
+                seq = read_feature_sequence(e.feature_path, e.video_id)
+                expected = encode_video(config, bundle, seq)
+                np.testing.assert_array_equal(vector.values, expected.values)
 
 
 @pytest.mark.parametrize(
