@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +19,26 @@ FORMAT_VERSION = 1
 
 def pack_header(magic: bytes, *fields: int) -> bytes:
     return magic + struct.pack("<" + "I" * (len(fields) + 1), FORMAT_VERSION, *fields)
+
+
+def atomic_write(path, *chunks: bytes) -> None:
+    """Write the chunks to ``path`` through a temporary file in its directory.
+
+    ``os.replace`` swaps the finished file in, so a failure midway leaves the
+    previous file untouched and the temporary removed. This guards against a
+    failing process, not against power loss: nothing is fsynced.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(temporary, "xb")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def read_exact(fh, count: int, path) -> bytes:

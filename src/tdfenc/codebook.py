@@ -350,9 +350,11 @@ def gmm_fit(
 
 def save_codebook(codebook: Codebook, path) -> None:
     """Write a TDFC file: header (K, d), then centroids row-major as float64."""
-    with open(Path(path), "wb") as fh:
-        fh.write(binio.pack_header(CODEBOOK_MAGIC, codebook.num_words, codebook.dims))
-        fh.write(binio.f64_bytes(codebook.centroids))
+    binio.atomic_write(
+        path,
+        binio.pack_header(CODEBOOK_MAGIC, codebook.num_words, codebook.dims),
+        binio.f64_bytes(codebook.centroids),
+    )
 
 
 def load_codebook(path) -> Codebook:
@@ -369,11 +371,13 @@ def load_codebook(path) -> Codebook:
 
 def save_gmm_model(model: GmmModel, path) -> None:
     """Write a TDFG file: header (K, d), then weights, means, variances as float64."""
-    with open(Path(path), "wb") as fh:
-        fh.write(binio.pack_header(GMM_MAGIC, model.num_components, model.dims))
-        fh.write(binio.f64_bytes(model.weights))
-        fh.write(binio.f64_bytes(model.means))
-        fh.write(binio.f64_bytes(model.variances))
+    binio.atomic_write(
+        path,
+        binio.pack_header(GMM_MAGIC, model.num_components, model.dims),
+        binio.f64_bytes(model.weights),
+        binio.f64_bytes(model.means),
+        binio.f64_bytes(model.variances),
+    )
 
 
 def load_gmm_model(path) -> GmmModel:

@@ -246,12 +246,14 @@ def fuse(branches) -> VideoVector:
 
 def save_video_vector(vector: VideoVector, path) -> None:
     """Write a TDFV file: method tag byte, branch tag byte, length, float64 payload."""
-    with open(Path(path), "wb") as fh:
-        fh.write(VECTOR_MAGIC)
-        fh.write(binio.FORMAT_VERSION.to_bytes(4, "little"))
-        fh.write(bytes([METHOD_TAGS[vector.method], BRANCH_TAGS[vector.branch]]))
-        fh.write(vector.dims.to_bytes(4, "little"))
-        fh.write(binio.f64_bytes(vector.values))
+    binio.atomic_write(
+        path,
+        VECTOR_MAGIC,
+        binio.FORMAT_VERSION.to_bytes(4, "little"),
+        bytes([METHOD_TAGS[vector.method], BRANCH_TAGS[vector.branch]]),
+        vector.dims.to_bytes(4, "little"),
+        binio.f64_bytes(vector.values),
+    )
 
 
 def load_video_vector(path) -> VideoVector:

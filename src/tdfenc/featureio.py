@@ -50,12 +50,10 @@ class FeatureSequence:
 
 def write_feature_sequence(seq: FeatureSequence, path) -> None:
     """Write a TDFE file: magic, version, D, N, then float32 values frame-by-frame."""
-    path = Path(path)
     # column-major payload: frame i's descriptor is contiguous
-    payload = binio.f32_bytes(seq.values.T)
-    with open(path, "wb") as fh:
-        fh.write(binio.pack_header(FEATURE_MAGIC, seq.dims, seq.frames))
-        fh.write(payload)
+    binio.atomic_write(
+        path, binio.pack_header(FEATURE_MAGIC, seq.dims, seq.frames), binio.f32_bytes(seq.values.T)
+    )
 
 
 def read_feature_sequence(path, video_id: str | None = None) -> FeatureSequence:
@@ -160,8 +158,7 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     for e in manifest.entries:
         rel = os.path.relpath(e.feature_path, start=path.parent)
         lines.append(f"{e.video_id}\t{rel}\t{e.label}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    binio.atomic_write(path, "".join(lines).encode("utf-8"))
 
 
 def split_train_test(

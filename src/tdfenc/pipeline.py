@@ -38,7 +38,7 @@ from .featureio import (
     write_feature_sequence,
     write_manifest,
 )
-from .preprocess import PcaModel, load_pca_model, pca_fit, pca_transform, save_pca_model
+from .preprocess import PcaModel, _pca_fit_blocks, load_pca_model, pca_transform, save_pca_model
 from .spectral import _spectrum_rows
 from .svm import LinearSvmModel, predict, train_linear_svm
 
@@ -392,16 +392,25 @@ def _fit_branch_model(
 
 def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: bool):
     """Fit the bundle on one read of each video; also return the videos' dims and
-    (entry, descriptor sets) per video for the branches asked for."""
+    (entry, descriptor sets) per video for the branches asked for.
+
+    PCA takes the centered scatter of the (sampled) training frames video by
+    video and its eigendecomposition; the frames are never stacked. Above
+    PCA_SAMPLE_CAP frames, the seeded draw indexes the frames in manifest
+    order, and each video passes on the rows drawn from it.
+    """
     videos = list(_read_frames(manifest))
     pca = None
     if config.pca_dims is not None:
-        sample = np.vstack([frames for _, frames in videos])
-        if sample.shape[0] > PCA_SAMPLE_CAP:
+        blocks = [frames for _, frames in videos]
+        ends = np.cumsum([len(frames) for frames in blocks])
+        if ends[-1] > PCA_SAMPLE_CAP:
             rng = np.random.default_rng(config.seed)
-            keep = np.sort(rng.choice(sample.shape[0], PCA_SAMPLE_CAP, replace=False))
-            sample = sample[keep]
-        pca = pca_fit(sample, config.pca_dims)
+            keep = np.sort(rng.choice(int(ends[-1]), PCA_SAMPLE_CAP, replace=False))
+            drawn = np.split(keep, np.searchsorted(keep, ends[:-1]))
+            # a drawn stack index minus its video's first stack index is a row of that video
+            blocks = [f[d - (end - len(f))] for f, d, end in zip(blocks, drawn, ends)]
+        pca = _pca_fit_blocks(blocks, config.pca_dims)
     sets = [(e, _descriptor_sets(config, pca, frames, time, dft)) for e, frames in videos]
     time_model = _fit_branch_model(config, "time", [t for _, (t, _) in sets]) if time else None
     dft_model = _fit_branch_model(config, "dft", [d for _, (_, d) in sets]) if dft else None
@@ -411,8 +420,10 @@ def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: boo
 def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle:
     """Fit the optional PCA and any branch codebooks/GMMs on training videos.
 
-    PCA sees a seeded uniform subsample of the normalized frame descriptors
-    (capped at 100,000). Branch models are fitted on that branch's descriptors
+    PCA is the eigendecomposition of the centered scatter matrix of the
+    normalized training frames, accumulated one video at a time with no
+    stacked frame matrix; above 100,000 frames it sees a seeded uniform
+    subsample of them. Branch models are fitted on that branch's descriptors
     from the training videos only, with separate seeds per branch. Each video
     is read once, and only if PCA or a codebook needs it; the descriptor sets
     are computed only for branches with a codebook and are dropped on return.

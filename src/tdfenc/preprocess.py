@@ -59,37 +59,52 @@ def l2_normalize(v) -> np.ndarray:
     return vec / norm
 
 
+def _pca_fit_blocks(blocks, output_dims: int) -> PcaModel:
+    """Fit PCA on the rows of a list of row blocks, as if they were stacked.
+
+    One pass sums the rows for the mean; a second accumulates the centered
+    D x D scatter block by block, so no M x D matrix is formed. The components
+    are the eigenvectors of the scatter in descending eigenvalue order.
+    """
+    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+    if any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1] for b in blocks):
+        raise DataError("descriptors must be an M x D matrix")
+    m = sum(b.shape[0] for b in blocks)
+    if m < 2:
+        raise DataError(f"PCA needs at least 2 descriptors, got {m}")
+    if output_dims < 1:
+        raise DataError(f"output_dims must be positive, got {output_dims}")
+    d_in = blocks[0].shape[1]
+    limit = min(d_in, m - 1)
+    if output_dims > limit:
+        warnings.warn(
+            f"requested {output_dims} components exceeds attainable rank {limit}; clipping",
+            stacklevel=3,
+        )
+        output_dims = limit
+    mean = sum(b.sum(axis=0) for b in blocks) / m
+    scatter = np.zeros((d_in, d_in))
+    for b in blocks:
+        centered = b - mean
+        scatter += centered.T @ centered
+    eigenvalues, eigenvectors = np.linalg.eigh(scatter)
+    # eigh sorts ascending; keep the top output_dims in descending order
+    components = np.ascontiguousarray(eigenvectors[:, ::-1][:, :output_dims].T)
+    for row in components:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    explained = np.maximum(eigenvalues[::-1][:output_dims], 0.0) / (m - 1)
+    return PcaModel(mean=mean, components=components, explained_variance=explained)
+
+
 def pca_fit(descriptors, output_dims: int) -> PcaModel:
-    """Fit PCA on an M x D sample via thin SVD of the centered data.
+    """Fit PCA on an M x D sample: eigendecomposition of its centered scatter.
 
     ``output_dims`` is clipped to min(D, M-1) with a warning when it exceeds
     the attainable rank. Component signs are fixed so the largest-magnitude
     entry of each component is positive, making fits reproducible.
     """
-    data = np.asarray(descriptors, dtype=np.float64)
-    if data.ndim != 2:
-        raise DataError("descriptors must be an M x D matrix")
-    m, d_in = data.shape
-    if m < 2:
-        raise DataError(f"PCA needs at least 2 descriptors, got {m}")
-    if output_dims < 1:
-        raise DataError(f"output_dims must be positive, got {output_dims}")
-    limit = min(d_in, m - 1)
-    if output_dims > limit:
-        warnings.warn(
-            f"requested {output_dims} components exceeds attainable rank {limit}; clipping",
-            stacklevel=2,
-        )
-        output_dims = limit
-    mean = data.mean(axis=0)
-    centered = data - mean
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:output_dims].copy()
-    for row in components:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
-    explained = (singular[:output_dims] ** 2) / (m - 1)
-    return PcaModel(mean=mean, components=components, explained_variance=explained)
+    return _pca_fit_blocks([descriptors], output_dims)
 
 
 def pca_transform(model: PcaModel, v) -> np.ndarray:
@@ -115,11 +130,13 @@ def scale_to_norm(v, target_norm: float) -> np.ndarray:
 
 def save_pca_model(model: PcaModel, path) -> None:
     """Write a TDFP file: header (D, d), then mean, components row-major, variances."""
-    with open(Path(path), "wb") as fh:
-        fh.write(binio.pack_header(PCA_MAGIC, model.input_dims, model.output_dims))
-        fh.write(binio.f64_bytes(model.mean))
-        fh.write(binio.f64_bytes(model.components))
-        fh.write(binio.f64_bytes(model.explained_variance))
+    binio.atomic_write(
+        path,
+        binio.pack_header(PCA_MAGIC, model.input_dims, model.output_dims),
+        binio.f64_bytes(model.mean),
+        binio.f64_bytes(model.components),
+        binio.f64_bytes(model.explained_variance),
+    )
 
 
 def load_pca_model(path) -> PcaModel:

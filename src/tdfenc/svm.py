@@ -69,6 +69,7 @@ def hinge_objective(weights, bias: float, penalty: float, inputs, targets) -> fl
 
 def _train_binary(
     augmented: np.ndarray,
+    diag: np.ndarray,
     targets: np.ndarray,
     penalty: float,
     max_epochs: int,
@@ -78,12 +79,12 @@ def _train_binary(
 ) -> np.ndarray:
     """Dual coordinate descent for one binary subproblem on bias-augmented inputs.
 
-    Coordinate updates decrease the dual objective but the primal can swing
-    between epochs, so the candidate model kept after each epoch (and finally
-    returned) is the iterate with the lowest primal objective seen so far.
+    ``diag`` holds the squared norms of the augmented rows. Coordinate updates
+    decrease the dual objective but the primal can swing between epochs, so
+    the candidate model kept after each epoch (and finally returned) is the
+    iterate with the lowest primal objective seen so far.
     """
     count, width = augmented.shape
-    diag = np.sum(augmented * augmented, axis=1)
     alpha = np.zeros(count)
     w = np.zeros(width)
     best_w = w.copy()
@@ -155,13 +156,16 @@ def train_linear_svm(
             raise DataError(f"class {c} has no training examples")
     data = np.vstack(rows)
     augmented = np.hstack([data, np.ones((data.shape[0], 1))])
+    diag = np.sum(augmented * augmented, axis=1)  # shared by every class
     weights = np.zeros((num_classes, width))
     biases = np.zeros(num_classes)
     for c in range(num_classes):
         targets = np.where(labels == c, 1.0, -1.0)
         rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
         class_trace: list | None = [] if objective_trace is not None else None
-        solution = _train_binary(augmented, targets, penalty, max_epochs, tol, rng, class_trace)
+        solution = _train_binary(
+            augmented, diag, targets, penalty, max_epochs, tol, rng, class_trace
+        )
         weights[c] = solution[:-1]
         biases[c] = solution[-1]
         if objective_trace is not None:
@@ -185,11 +189,13 @@ def predict(model: LinearSvmModel, x) -> tuple[int, np.ndarray]:
 
 def save_svm_model(model: LinearSvmModel, path) -> None:
     """Write a TDFM file: header (num_classes, P), penalty, weights row-major, biases."""
-    with open(Path(path), "wb") as fh:
-        fh.write(binio.pack_header(MODEL_MAGIC, model.num_classes, model.dims))
-        fh.write(binio.f64_bytes(np.asarray([model.penalty])))
-        fh.write(binio.f64_bytes(model.weights))
-        fh.write(binio.f64_bytes(model.biases))
+    binio.atomic_write(
+        path,
+        binio.pack_header(MODEL_MAGIC, model.num_classes, model.dims),
+        binio.f64_bytes(np.asarray([model.penalty])),
+        binio.f64_bytes(model.weights),
+        binio.f64_bytes(model.biases),
+    )
 
 
 def load_svm_model(path) -> LinearSvmModel:

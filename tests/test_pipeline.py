@@ -14,6 +14,7 @@ from tdfenc import (
     load_bundle,
     parse_pipeline_config,
     parse_synth_spec,
+    pca_fit,
     read_feature_sequence,
     run_repeated_experiment,
     save_bundle,
@@ -318,6 +319,35 @@ class TestFitModels:
         b = fit_models(config, manifest)
         np.testing.assert_array_equal(a.pca.components, b.pca.components)
         np.testing.assert_array_equal(a.pca.mean, b.pca.mean)
+
+    # 9 rows leave some videos unsampled; 300 of ~380 draw first frames of videos
+    @pytest.mark.parametrize("cap", [9, 300])
+    def test_pca_cap_samples_the_rows_of_the_stacked_frames(self, tmp_path, monkeypatch, cap):
+        import tdfenc.pipeline as pipeline
+
+        manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+        seed = 7
+        monkeypatch.setattr("tdfenc.pipeline.PCA_SAMPLE_CAP", cap)
+        fitted_blocks, fit = [], pipeline._pca_fit_blocks
+
+        def recording_fit(blocks, output_dims):
+            fitted_blocks.extend(blocks)
+            return fit(blocks, output_dims)
+
+        monkeypatch.setattr(pipeline, "_pca_fit_blocks", recording_fit)
+        bundle = fit_models(PipelineConfig(pca_dims=3, spectrum_length=16, seed=seed), manifest)
+
+        frames = [
+            np.stack([l2_normalize(f) for f in read_feature_sequence(e.feature_path).values.T])
+            for e in manifest.entries
+        ]
+        stacked = np.vstack(frames)
+        rng = np.random.default_rng(seed)
+        reference = pca_fit(stacked[np.sort(rng.choice(len(stacked), cap, replace=False))], 3)
+        assert sum(len(b) for b in fitted_blocks) == cap
+        assert any(len(b) == 0 for b in fitted_blocks) == (cap == 9)
+        np.testing.assert_allclose(bundle.pca.mean, reference.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bundle.pca.components, reference.components, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize(
         "overrides,forbidden",

@@ -97,6 +97,46 @@ class TestPcaFit:
             pca_fit(np.zeros((1, 4)), 2)
 
 
+def _svd_reference(data, k):
+    """Top-k principal axes and variances from a thin SVD of the centered data,
+    with each axis signed so that its largest-magnitude entry is positive."""
+    centered = data - data.mean(axis=0)
+    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    axes = vt[:k]
+    signs = np.sign(axes[np.arange(k), np.argmax(np.abs(axes), axis=1)])
+    return axes * signs[:, None], singular[:k] ** 2 / (data.shape[0] - 1)
+
+
+def _offset_data(rng):
+    return 1e3 + rng.normal(0.0, 1e-2, size=(400, 6)) * np.arange(1.0, 7.0)
+
+
+def _unit_frames(rng):
+    frames = rng.normal(size=(500, 12)) * np.linspace(0.5, 3.0, 12)
+    frames[:, 0] += 4.0
+    return frames / np.linalg.norm(frames, axis=1, keepdims=True)
+
+
+def _rank_three(rng):
+    basis, _ = np.linalg.qr(rng.normal(size=(8, 3)))
+    return 2.0 + (rng.normal(size=(60, 3)) * [3.0, 2.0, 1.0]) @ basis.T
+
+
+@pytest.mark.parametrize(
+    "make,rank", [(_offset_data, 6), (_unit_frames, 12), (_rank_three, 3)],
+    ids=["large-offset", "unit-frames", "rank-deficient"],
+)
+def test_pca_fit_matches_an_svd_reference(make, rank):
+    data = make(np.random.default_rng(12))
+    model = pca_fit(data, data.shape[1])
+    axes, variances = _svd_reference(data, rank)
+    np.testing.assert_allclose(model.components[:rank], axes, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(model.explained_variance[:rank], variances, rtol=1e-9)
+    np.testing.assert_allclose(model.mean, data.mean(axis=0), rtol=1e-15)
+    assert model.components.flags.c_contiguous
+    assert np.all(model.explained_variance >= 0.0)
+
+
 class TestPcaTransform:
     def test_mean_maps_to_zero(self):
         rng = np.random.default_rng(8)
