@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .errors import DataError
+from .errors import DataError, FormatError
 
 CODEBOOK_MAGIC = b"TDFC"
 GMM_MAGIC = b"TDFG"
@@ -363,7 +363,7 @@ def load_codebook(path) -> Codebook:
         binio.check_magic(fh, CODEBOOK_MAGIC, path)
         num_words, dims = binio.read_u32(fh, 2, path)
         if num_words < 1 or dims < 1:
-            raise DataError(f"corrupt file: {path}: bad header K={num_words}, d={dims}")
+            raise FormatError(f"corrupt file: {path}: bad header K={num_words}, d={dims}")
         centroids = binio.read_f64(fh, num_words * dims, path).reshape(num_words, dims)
         binio.check_eof(fh, path)
     return Codebook(centroids=centroids)
@@ -386,7 +386,7 @@ def load_gmm_model(path) -> GmmModel:
         binio.check_magic(fh, GMM_MAGIC, path)
         num_components, dims = binio.read_u32(fh, 2, path)
         if num_components < 1 or dims < 1:
-            raise DataError(f"corrupt file: {path}: bad header K={num_components}, d={dims}")
+            raise FormatError(f"corrupt file: {path}: bad header K={num_components}, d={dims}")
         weights = binio.read_f64(fh, num_components, path)
         means = binio.read_f64(fh, num_components * dims, path).reshape(num_components, dims)
         variances = binio.read_f64(fh, num_components * dims, path).reshape(num_components, dims)

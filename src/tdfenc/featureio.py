@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .errors import DataError, FormatError, ManifestError
+from .errors import DataError, FormatError, ManifestError, TdfError
 
 FEATURE_MAGIC = b"TDFE"
 
@@ -75,10 +75,28 @@ def read_feature_sequence(path, video_id: str | None = None) -> FeatureSequence:
             raise FormatError(f"corrupt file: {path}: empty dimensions D={dims}, N={frames}")
         flat = binio.read_f32(fh, dims * frames, path)
         binio.check_eof(fh, path)
-    values = flat.astype(np.float64).reshape(frames, dims).T
-    if not np.all(np.isfinite(values)):
+    # checked before the cast, which warns on a signalling NaN
+    if not np.all(np.isfinite(flat)):
         raise FormatError(f"non-finite values in feature file: {path}")
+    values = flat.astype(np.float64).reshape(frames, dims).T
     return FeatureSequence(video_id=video_id or path.stem, values=values)
+
+
+def _text_lines(path: Path, error: type[TdfError], missing: str):
+    """Yield (line number, line) of a UTF-8 text file.
+
+    A missing file raises ``error`` with the message ``missing`` and the
+    path; a file that is not UTF-8 raises ``error`` naming the path.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{missing}: {path}") from None
+    with fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError:
+            raise error(f"{path}: not UTF-8 text") from None
 
 
 @dataclass(frozen=True)
@@ -99,48 +117,47 @@ def read_manifest(path) -> DatasetManifest:
 
     Relative feature paths are resolved against the manifest's directory.
     Malformed lines, video ids that are not plain file names (``.``, ``..``,
-    or containing ``/``, ``\\`` or NUL), duplicate video ids, negative labels,
-    and label gaps all raise ManifestError with the offending line number.
+    or containing ``/``, ``\\`` or NUL), feature paths containing NUL,
+    duplicate video ids, negative labels, and label gaps all raise
+    ManifestError with the offending line number. A missing or non-UTF-8
+    file raises ManifestError naming the file.
     """
     path = Path(path)
     base = path.parent
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise ManifestError(f"manifest not found: {path}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ManifestError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            video_id, feature_path, label_text = fields
-            if not video_id:
-                raise ManifestError(f"{path}: line {lineno}: empty video id")
-            # the id names the encoded vector file, so it must stay a single path component
-            if video_id in (".", "..") or any(c in video_id for c in "/\\\0"):
-                raise ManifestError(
-                    f"{path}: line {lineno}: video id {video_id!r} is not a file name"
-                )
-            if video_id in seen:
-                raise ManifestError(f"{path}: line {lineno}: duplicate video id {video_id!r}")
-            seen.add(video_id)
-            try:
-                label = int(label_text)
-            except ValueError:
-                raise ManifestError(
-                    f"{path}: line {lineno}: label {label_text!r} is not an integer"
-                ) from None
-            if label < 0:
-                raise ManifestError(f"{path}: line {lineno}: negative label {label}")
-            resolved = Path(feature_path)
-            if not resolved.is_absolute():
-                resolved = base / resolved
-            entries.append(ManifestEntry(video_id, resolved, label))
+    for lineno, raw in _text_lines(path, ManifestError, "manifest not found"):
+        line = raw.rstrip("\r\n")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ManifestError(
+                f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
+            )
+        video_id, feature_path, label_text = fields
+        if not video_id:
+            raise ManifestError(f"{path}: line {lineno}: empty video id")
+        # the id names the encoded vector file, so it must stay a single path component
+        if video_id in (".", "..") or any(c in video_id for c in "/\\\0"):
+            raise ManifestError(
+                f"{path}: line {lineno}: video id {video_id!r} is not a file name"
+            )
+        if "\0" in feature_path:
+            raise ManifestError(f"{path}: line {lineno}: feature path contains NUL")
+        if video_id in seen:
+            raise ManifestError(f"{path}: line {lineno}: duplicate video id {video_id!r}")
+        seen.add(video_id)
+        try:
+            label = int(label_text)
+        except ValueError:
+            raise ManifestError(
+                f"{path}: line {lineno}: label {label_text!r} is not an integer"
+            ) from None
+        if label < 0:
+            raise ManifestError(f"{path}: line {lineno}: negative label {label}")
+        resolved = Path(feature_path)
+        if not resolved.is_absolute():
+            resolved = base / resolved
+        entries.append(ManifestEntry(video_id, resolved, label))
     if not entries:
         raise ManifestError(f"{path}: manifest has no entries")
     num_classes = max(e.label for e in entries) + 1

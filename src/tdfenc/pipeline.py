@@ -12,7 +12,8 @@ a one-vs-rest linear SVM is trained on the fused vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .featureio import (
     DatasetManifest,
     FeatureSequence,
     ManifestEntry,
+    _text_lines,
     read_feature_sequence,
     split_train_test,
     write_feature_sequence,
@@ -55,9 +57,21 @@ _TIME_FIT_SEED_OFFSET = 11
 _DFT_FIT_SEED_OFFSET = 12
 
 
+def _check_finite(config) -> None:
+    """Reject a non-finite value in any float field of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All knobs of the two-branch pipeline; field names double as config-file keys."""
+    """All knobs of the two-branch pipeline; field names double as config-file keys.
+
+    Every way of building one (constructor, profile, ``replace``) checks it and
+    raises ConfigError on an invalid value.
+    """
 
     pca_dims: int | None = None
     spectrum_length: int = 500
@@ -82,7 +96,8 @@ class PipelineConfig:
     gmm_tol: float = 1e-6
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_finite(self)
         if self.pca_dims is not None and self.pca_dims < 1:
             raise ConfigError(f"pca_dims must be positive, got {self.pca_dims}")
         if self.spectrum_length < 1:
@@ -156,42 +171,45 @@ def _parse_bool(text: str) -> bool:
         raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
-_PARSER_BY_TYPE = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+def _parse_frequencies(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(","))
 
-# annotations are strings here (``from __future__ import annotations``)
-_CONFIG_PARSERS = {
-    f.name: _PARSER_BY_TYPE[f.type.removesuffix(" | None")] for f in fields(PipelineConfig)
-}
+
+_PARSER_BY_TYPE = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+                   "tuple[float, ...]": _parse_frequencies}
+
+
+def _field_parsers(cls) -> dict:
+    # annotations are strings here (``from __future__ import annotations``)
+    return {f.name: _PARSER_BY_TYPE[f.type.removesuffix(" | None")] for f in fields(cls)}
+
+
+_CONFIG_PARSERS = _field_parsers(PipelineConfig)
 
 
 def _read_key_value_file(path, parsers: dict, kind: str) -> dict:
     path = Path(path)
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"{kind} file not found: {path}") from None
     values: dict = {}
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in parsers:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-            try:
-                values[key] = parsers[key](text.strip())
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: line {lineno}: bad value {text.strip()!r} for {key}"
-                ) from None
+    for lineno, raw in _text_lines(path, ConfigError, f"{kind} file not found"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key not in parsers:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+        try:
+            values[key] = parsers[key](text.strip())
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {lineno}: bad value {text.strip()!r} for {key}"
+            ) from None
     return values
 
 
@@ -203,7 +221,6 @@ def parse_pipeline_config(path) -> PipelineConfig:
     """
     values = _read_key_value_file(path, _CONFIG_PARSERS, "config")
     config = PipelineConfig(**values)
-    config.validate()
     uses_llc = (config.time_branch_enabled and config.time_encoder == "llc") or (
         config.dft_branch_enabled and config.dft_encoder == "llc"
     )
@@ -224,7 +241,7 @@ def parse_pipeline_config(path) -> PipelineConfig:
 @dataclass(frozen=True)
 class SynthSpec:
     """Shape of a generated benchmark: sinusoid frequency per class in the first
-    feature dimension, Gaussian noise everywhere else."""
+    feature dimension, Gaussian noise everywhere else. Checked on construction."""
 
     num_classes: int
     videos_per_class: int
@@ -235,7 +252,8 @@ class SynthSpec:
     noise: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_finite(self)
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be positive, got {self.num_classes}")
         if self.videos_per_class < 1:
@@ -258,32 +276,16 @@ class SynthSpec:
             raise ConfigError(f"noise must be non-negative, got {self.noise}")
 
 
-def _parse_frequencies(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-_SYNTH_PARSERS = {
-    "num_classes": int,
-    "videos_per_class": int,
-    "dims": int,
-    "frames_min": int,
-    "frames_max": int,
-    "frequencies": _parse_frequencies,
-    "noise": float,
-    "seed": int,
-}
+_SYNTH_PARSERS = _field_parsers(SynthSpec)
 
 
 def parse_synth_spec(path) -> SynthSpec:
     """Read a flat key=value synthetic-dataset spec file."""
     values = _read_key_value_file(path, _SYNTH_PARSERS, "spec")
-    required = ("num_classes", "videos_per_class", "dims", "frames_min", "frames_max", "frequencies")
-    for key in required:
+    for key in (f.name for f in fields(SynthSpec) if f.default is MISSING):
         if key not in values:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    spec = SynthSpec(**values)
-    spec.validate()
-    return spec
+    return SynthSpec(**values)
 
 
 def generate_synthetic_dataset(spec: SynthSpec, out_dir) -> DatasetManifest:
@@ -295,7 +297,6 @@ def generate_synthetic_dataset(spec: SynthSpec, out_dir) -> DatasetManifest:
     only the oscillation frequency separates the classes. Feature files are
     written in TDFE format next to a ``manifest.tsv``.
     """
-    spec.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
@@ -428,7 +429,6 @@ def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle
     is read once, and only if PCA or a codebook needs it; the descriptor sets
     are computed only for branches with a codebook and are dropped on return.
     """
-    config.validate()
     time = config.time_branch_enabled and config.time_encoder != "average"
     dft = config.dft_branch_enabled and config.dft_encoder != "average"
     if config.pca_dims is None and not (time or dft):
@@ -475,7 +475,6 @@ def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequen
     branch pools its descriptor set and the branch vectors are scaled to the
     configured norms and concatenated.
     """
-    config.validate()
     sets = _descriptor_sets(
         config, bundle.pca, _normalized_frames(seq),
         config.time_branch_enabled, config.dft_branch_enabled,
@@ -549,7 +548,6 @@ def run_repeated_experiment(
     """
     if repetitions < 1:
         raise DataError(f"repetitions must be positive, got {repetitions}")
-    config.validate()
     reports = []
     for r in range(1, repetitions + 1):
         train_manifest, test_manifest = _repetition_split(config, manifest, r)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .errors import DataError
+from .errors import DataError, FormatError
 
 PCA_MAGIC = b"TDFP"
 
@@ -30,6 +30,12 @@ class PcaModel:
             raise DataError("PCA components must be a d x D matrix matching the mean length")
         if explained.shape != (components.shape[0],):
             raise DataError("explained_variance length must match the component count")
+        if not (
+            np.all(np.isfinite(mean))
+            and np.all(np.isfinite(components))
+            and np.all(np.isfinite(explained))
+        ):
+            raise DataError("PCA parameters contain non-finite values")
         gram = components @ components.T
         if not np.allclose(gram, np.eye(components.shape[0]), atol=1e-8):
             raise DataError("PCA components are not orthonormal")
@@ -145,7 +151,7 @@ def load_pca_model(path) -> PcaModel:
         binio.check_magic(fh, PCA_MAGIC, path)
         d_in, d_out = binio.read_u32(fh, 2, path)
         if d_in < 1 or d_out < 1 or d_out > d_in:
-            raise DataError(f"corrupt file: {path}: bad dimensions D={d_in}, d={d_out}")
+            raise FormatError(f"corrupt file: {path}: bad dimensions D={d_in}, d={d_out}")
         mean = binio.read_f64(fh, d_in, path)
         components = binio.read_f64(fh, d_out * d_in, path).reshape(d_out, d_in)
         explained = binio.read_f64(fh, d_out, path)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .errors import DataError
+from .errors import DataError, FormatError
 
 MODEL_MAGIC = b"TDFM"
 
@@ -204,7 +204,7 @@ def load_svm_model(path) -> LinearSvmModel:
         binio.check_magic(fh, MODEL_MAGIC, path)
         num_classes, dims = binio.read_u32(fh, 2, path)
         if num_classes < 2 or dims < 1:
-            raise DataError(f"corrupt file: {path}: bad header classes={num_classes}, P={dims}")
+            raise FormatError(f"corrupt file: {path}: bad header classes={num_classes}, P={dims}")
         penalty = float(binio.read_f64(fh, 1, path)[0])
         weights = binio.read_f64(fh, num_classes * dims, path).reshape(num_classes, dims)
         biases = binio.read_f64(fh, num_classes, path)

@@ -54,6 +54,24 @@ def test_header_sizes_beyond_the_file_are_corrupt(tmp_path, magic):
         loader(path)
 
 
+# (loader, header): counts that no saver writes (K = 0, d > D, one class)
+BAD_COUNT_HEADERS = {
+    "TDFP": (load_pca_model, b"TDFP" + struct.pack("<III", 1, 2, 3)),
+    "TDFC": (load_codebook, b"TDFC" + struct.pack("<III", 1, 0, 3)),
+    "TDFG": (load_gmm_model, b"TDFG" + struct.pack("<III", 1, 0, 3)),
+    "TDFM": (load_svm_model, b"TDFM" + struct.pack("<III", 1, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("magic", sorted(BAD_COUNT_HEADERS))
+def test_bad_header_counts_are_format_errors(tmp_path, magic):
+    loader, header = BAD_COUNT_HEADERS[magic]
+    path = tmp_path / f"bad.{magic.lower()}"
+    path.write_bytes(header + b"\x00" * 64)
+    with pytest.raises(FormatError, match="corrupt file.*bad"):
+        loader(path)
+
+
 # one small value per writer
 WRITERS = {
     "save_pca_model": (

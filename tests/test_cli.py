@@ -274,3 +274,49 @@ def test_encode_failure_leaves_no_vectors(dataset, tmp_path, capsys):
     assert "odd_video" in capsys.readouterr().err
     assert list(out_dir.rglob("*.tdfv")) == []
     assert not (out_dir / "index.tsv").exists()
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [(b"seed=1\n# r\xe9sum\xe9\n", "not UTF-8"), (b"svm_c=nan\n", "svm_c must be finite")],
+)
+def test_run_with_bad_config_exits_1(dataset, tmp_path, capsys, text, expected):
+    manifest_path, _ = dataset
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_bytes(text)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--manifest", str(manifest_path)]) == 1
+    assert expected in _one_line_error(capsys)
+
+
+def test_run_with_non_utf8_manifest_exits_2(dataset, tmp_path, capsys):
+    _, config_path = dataset
+    manifest_path = tmp_path / "latin1.tsv"
+    manifest_path.write_bytes(b"v\xe9\tv.tdfe\t0\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--manifest", str(manifest_path)]) == 2
+    assert "latin1.tsv: not UTF-8" in _one_line_error(capsys)
+
+
+def test_synth_with_non_utf8_spec_exits_1(tmp_path, capsys):
+    spec_path = tmp_path / "synth.cfg"
+    spec_path.write_bytes(SYNTH_SPEC.encode("utf-8") + b"# \xff\n")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+    assert "synth.cfg: not UTF-8" in _one_line_error(capsys)
+
+
+def test_encode_with_nul_in_feature_path_exits_2(dataset, tmp_path, capsys):
+    _, config_path = dataset
+    manifest_path = tmp_path / "nul.tsv"
+    manifest_path.write_text("v\tv\0.tdfe\t0\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["encode", "--config", str(config_path), "--bundle", str(tmp_path / "bundle"),
+                 "--manifest", str(manifest_path), "--out", str(tmp_path / "enc")])
+    assert code == 2
+    assert "line 1: feature path contains NUL" in _one_line_error(capsys)

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def test_nan_payload_is_nonfinite(tmp_path):
         read_feature_sequence(path)
 
 
+def test_signalling_nan_payload_is_nonfinite_without_a_warning(tmp_path):
+    path = tmp_path / "snan.tdfe"
+    payload = struct.pack("<II", 0x7F800001, 0x3F800000)  # signalling NaN, 1.0
+    path.write_bytes(b"TDFE" + struct.pack("<III", 1, 2, 1) + payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="non-finite"):
+            read_feature_sequence(path)
+
+
 def test_missing_feature_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         read_feature_sequence(tmp_path / "nope.tdfe")
@@ -154,6 +165,20 @@ def test_manifest_rejects_ids_that_are_not_file_names(tmp_path, video_id):
     path = tmp_path / "m.tsv"
     _write_lines(path, ["a\tf1.bin\t0", f"{video_id}\tf2.bin\t1"])
     with pytest.raises(ManifestError, match="line 2"):
+        read_manifest(path)
+
+
+def test_manifest_rejects_feature_path_with_nul(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text("a\ta.tdfe\t0\nb\tb\0.tdfe\t1\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match="line 2: feature path contains NUL"):
+        read_manifest(path)
+
+
+def test_manifest_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(b"a\ta.tdfe\t0\nb\t\xe9.tdfe\t1\n")
+    with pytest.raises(ManifestError, match="m.tsv: not UTF-8"):
         read_manifest(path)
 
 

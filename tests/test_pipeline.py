@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,9 +97,36 @@ class TestConfigParsing:
             parse_pipeline_config(path)
 
     def test_both_branches_disabled_rejected(self):
-        config = PipelineConfig(time_branch_enabled=False, dft_branch_enabled=False)
         with pytest.raises(ConfigError, match="branch"):
-            config.validate()
+            PipelineConfig(time_branch_enabled=False, dft_branch_enabled=False)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        ["fusion_time_norm", "fusion_dft_norm", "svm_c", "svm_tol", "gmm_tol", "llc_lambda",
+         "train_fraction"],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"time_encoder=llc\n{key}={value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            parse_pipeline_config(path)
+
+    def test_not_utf8_is_config_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("seed=1\n# r\xe9sum\xe9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="latin1.cfg: not UTF-8"):
+            parse_pipeline_config(path)
+
+    def test_construction_checks_every_way_a_config_is_built(self):
+        with pytest.raises(ConfigError, match="svm_c must be positive, got -1"):
+            PipelineConfig(svm_c=-1.0)
+        with pytest.raises(ConfigError, match="spectrum_length must be positive"):
+            replace(PipelineConfig(), spectrum_length=0)
+        with pytest.raises(ConfigError, match="time_encoder must be one of"):
+            PipelineConfig.emotion_defaults(time_encoder="mean")
+        with pytest.raises(ConfigError, match="dft_pool_axis must be one of"):
+            PipelineConfig.action_defaults(dft_pool_axis="time")
 
     def test_default_codebook_sizes(self):
         assert PipelineConfig(time_encoder="llc").codebook_size("time") == 1024
@@ -136,6 +165,38 @@ class TestSynthSpec:
         path.write_text("num_classes=2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="missing required key"):
             parse_synth_spec(path)
+
+    def test_required_keys_are_the_fields_without_a_default(self, tmp_path):
+        path = tmp_path / "synth.cfg"
+        path.write_text(
+            "num_classes=2\nvideos_per_class=6\ndims=4\nframes_min=24\nframes_max=40\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="missing required key 'frequencies'"):
+            parse_synth_spec(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_rejected(self, tmp_path, value):
+        path = tmp_path / "synth.cfg"
+        path.write_text(
+            "num_classes=2\nvideos_per_class=6\ndims=4\nframes_min=24\nframes_max=40\n"
+            f"frequencies=0.08,0.3\nnoise={value}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="^noise must be finite"):
+            parse_synth_spec(path)
+
+    def test_not_utf8_is_config_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "synth.cfg"
+        path.write_bytes(b"num_classes=2\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="synth.cfg: not UTF-8"):
+            parse_synth_spec(path)
+
+    def test_construction_and_replace_are_checked(self):
+        with pytest.raises(ConfigError, match="noise must be non-negative"):
+            tiny_spec(noise=-0.1)
+        with pytest.raises(ConfigError, match="need one frequency per class"):
+            replace(tiny_spec(), num_classes=3)
 
     def test_frequency_range_validated(self):
         with pytest.raises(ConfigError, match="frequencies"):

@@ -205,3 +205,12 @@ def test_pca_model_roundtrip_byte_identical(tmp_path):
     np.testing.assert_array_equal(back.mean, model.mean)
     np.testing.assert_array_equal(back.components, model.components)
     np.testing.assert_array_equal(back.explained_variance, model.explained_variance)
+
+
+@pytest.mark.parametrize("field", ["mean", "components", "explained_variance"])
+def test_pca_model_rejects_non_finite_parameters(field):
+    params = dict(mean=np.zeros(3), components=np.eye(3)[:2], explained_variance=[2.0, 1.0])
+    params[field] = np.array(params[field], dtype=np.float64)
+    params[field].flat[0] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        PcaModel(**params)
