@@ -68,7 +68,8 @@ def read_u32(fh, count: int, path) -> tuple[int, ...]:
 
 
 def read_f32(fh, count: int, path) -> np.ndarray:
-    return np.frombuffer(read_exact(fh, 4 * count, path), dtype="<f4").copy()
+    # read-only view of the bytes; callers cast it, which copies
+    return np.frombuffer(read_exact(fh, 4 * count, path), dtype="<f4")
 
 
 def read_f64(fh, count: int, path) -> np.ndarray:

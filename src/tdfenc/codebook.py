@@ -94,7 +94,10 @@ class Codebook:
 def _check_distinct(centroids: np.ndarray) -> None:
     # gram-trick distances carry cancellation noise, so shortlist loosely and
     # confirm candidates with exact differences
-    sq = _squared_distances(centroids, centroids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = _squared_distances(centroids, centroids)
+    if not np.all(np.isfinite(sq)):
+        raise DataError("centroid distances overflow float64")
     np.fill_diagonal(sq, np.inf)
     close = np.argwhere(sq < 1e-13)
     for i, j in close:

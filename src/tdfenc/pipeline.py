@@ -1,13 +1,17 @@
 """End-to-end orchestration: configuration, the two-branch encode-fuse-train
 flow, evaluation metrics, and the synthetic temporal benchmark generator.
 
-A video is encoded in two branches. The time branch pools the (normalized,
-optionally PCA-reduced) frame descriptors directly. The spectrum branch first
-maps the sequence to per-dimension magnitude spectra on a shared frequency
-axis and pools descriptors read from that matrix; ``dft_pool_axis`` selects
-whether one descriptor is a frequency-bin column or a per-dimension spectral
-profile row. Branch vectors are scaled to configured norms and concatenated;
-a one-vs-rest linear SVM is trained on the fused vectors.
+A video is encoded in two branches, each stage by the package's public layer
+function. Frames are unit-normalized (``l2_normalize``) and optionally
+PCA-reduced (``pca_fit``, ``pca_transform``). The time branch pools those frame
+descriptors directly. The spectrum branch first maps the sequence to
+per-dimension magnitude spectra on a shared frequency axis
+(``spectrum_of_sequence``) and pools descriptors read from that matrix;
+``dft_pool_axis`` selects whether one descriptor is a frequency-bin column or a
+per-dimension spectral profile row. Branch vectors are scaled to configured
+norms and concatenated (``fuse``); a one-vs-rest linear SVM is trained on the
+fused vectors. ``encode_video`` is the one per-video encode path for test
+videos and CLI ``encode``.
 """
 
 from __future__ import annotations
@@ -40,8 +44,15 @@ from .featureio import (
     write_feature_sequence,
     write_manifest,
 )
-from .preprocess import PcaModel, _pca_fit_blocks, load_pca_model, pca_transform, save_pca_model
-from .spectral import _spectrum_rows
+from .preprocess import (
+    PcaModel,
+    l2_normalize,
+    load_pca_model,
+    pca_fit,
+    pca_transform,
+    save_pca_model,
+)
+from .spectral import spectrum_of_sequence
 from .svm import LinearSvmModel, predict, train_linear_svm
 
 ENCODERS = ("average", "llc", "fv", "vlad")
@@ -127,6 +138,8 @@ class PipelineConfig:
         for name in ("svm_max_epochs", "kmeans_max_iters", "gmm_max_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def codebook_size(self, branch: str) -> int:
         encoder = self.time_encoder if branch == "time" else self.dft_encoder
@@ -274,6 +287,8 @@ class SynthSpec:
                 raise ConfigError(f"frequencies must lie in (0, 0.5) cycles/frame, got {f}")
         if self.noise < 0:
             raise ConfigError(f"noise must be non-negative, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 _SYNTH_PARSERS = _field_parsers(SynthSpec)
@@ -327,29 +342,22 @@ class ModelBundle:
     dft_model: Codebook | GmmModel | None = None
 
 
-def _normalized_frames(seq: FeatureSequence) -> np.ndarray:
-    """Frames as rows, each scaled to unit length (zero frames left unchanged)."""
-    frames = seq.values.T.copy()
-    norms = np.linalg.norm(frames, axis=1)
-    nonzero = norms > 0
-    frames[nonzero] /= norms[nonzero, None]
-    return frames
-
-
 def _read_frames(manifest: DatasetManifest, dims: int | None = None):
-    """Yield (entry, normalized frames) per video; all must have one dims, ``dims`` if given."""
+    """Yield (entry, sequence) per video; all must have one dims, ``dims`` if given."""
     for e in manifest.entries:
         seq = read_feature_sequence(e.feature_path, e.video_id)
         if dims is not None and seq.dims != dims:
             raise DataError(f"{e.video_id}: has {seq.dims} descriptor dims, dataset uses {dims}")
         dims = seq.dims
-        yield e, _normalized_frames(seq)
+        yield e, seq
 
 
 def _descriptor_sets(
-    config: PipelineConfig, pca: PcaModel | None, frames: np.ndarray, time: bool, dft: bool
+    config: PipelineConfig, pca: PcaModel | None, video_id: str, frames: np.ndarray,
+    time: bool, dft: bool,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(time, spectrum) descriptor sets of normalized frames; None for a branch not asked for."""
+    """(time, spectrum) descriptor sets of normalized frames (one per row); None
+    for a branch not asked for."""
     if config.pca_dims is not None and (time or dft):
         if pca is None:
             raise DataError("pca stage: config requests PCA but the bundle has no PCA model")
@@ -365,7 +373,8 @@ def _descriptor_sets(
         frames = pca_transform(pca, frames)
     spectrum = None
     if dft:
-        spectrum = _spectrum_rows(frames.T, config.spectrum_length)
+        seq = FeatureSequence(video_id, frames.T)
+        spectrum = spectrum_of_sequence(seq, config.spectrum_length).values
         if config.dft_pool_axis == "frequency":
             spectrum = spectrum.T
     return (frames if time else None), spectrum
@@ -395,12 +404,12 @@ def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: boo
     """Fit the bundle on one read of each video; also return the videos' dims and
     (entry, descriptor sets) per video for the branches asked for.
 
-    PCA takes the centered scatter of the (sampled) training frames video by
-    video and its eigendecomposition; the frames are never stacked. Above
-    PCA_SAMPLE_CAP frames, the seeded draw indexes the frames in manifest
-    order, and each video passes on the rows drawn from it.
+    Each video's frames are unit-normalized with ``l2_normalize``. ``pca_fit``
+    gets them as one row block per video and is never handed a stacked frame
+    matrix. Above PCA_SAMPLE_CAP frames, the seeded draw indexes the frames in
+    manifest order, and each video passes on the rows drawn from it.
     """
-    videos = list(_read_frames(manifest))
+    videos = [(e, l2_normalize(seq.values.T)) for e, seq in _read_frames(manifest)]
     pca = None
     if config.pca_dims is not None:
         blocks = [frames for _, frames in videos]
@@ -411,8 +420,8 @@ def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: boo
             drawn = np.split(keep, np.searchsorted(keep, ends[:-1]))
             # a drawn stack index minus its video's first stack index is a row of that video
             blocks = [f[d - (end - len(f))] for f, d, end in zip(blocks, drawn, ends)]
-        pca = _pca_fit_blocks(blocks, config.pca_dims)
-    sets = [(e, _descriptor_sets(config, pca, frames, time, dft)) for e, frames in videos]
+        pca = pca_fit(blocks, config.pca_dims)
+    sets = [(e, _descriptor_sets(config, pca, e.video_id, f, time, dft)) for e, f in videos]
     time_model = _fit_branch_model(config, "time", [t for _, (t, _) in sets]) if time else None
     dft_model = _fit_branch_model(config, "dft", [d for _, (_, d) in sets]) if dft else None
     return ModelBundle(pca, time_model, dft_model), videos[0][1].shape[1], sets
@@ -421,13 +430,13 @@ def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: boo
 def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle:
     """Fit the optional PCA and any branch codebooks/GMMs on training videos.
 
-    PCA is the eigendecomposition of the centered scatter matrix of the
-    normalized training frames, accumulated one video at a time with no
-    stacked frame matrix; above 100,000 frames it sees a seeded uniform
-    subsample of them. Branch models are fitted on that branch's descriptors
-    from the training videos only, with separate seeds per branch. Each video
-    is read once, and only if PCA or a codebook needs it; the descriptor sets
-    are computed only for branches with a codebook and are dropped on return.
+    PCA is ``pca_fit`` on the unit-normalized training frames, handed as one
+    row block per video so no stacked frame matrix is formed; above 100,000
+    frames it sees a seeded uniform subsample of them. Branch models are
+    fitted on that branch's descriptors from the training videos only, with
+    separate seeds per branch. Each video is read once, and only if PCA or a
+    codebook needs it; the descriptor sets are computed only for branches with
+    a codebook and are dropped on return.
     """
     time = config.time_branch_enabled and config.time_encoder != "average"
     dft = config.dft_branch_enabled and config.dft_encoder != "average"
@@ -476,7 +485,7 @@ def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequen
     configured norms and concatenated.
     """
     sets = _descriptor_sets(
-        config, bundle.pca, _normalized_frames(seq),
+        config, bundle.pca, seq.video_id, l2_normalize(seq.values.T),
         config.time_branch_enabled, config.dft_branch_enabled,
     )
     return _fuse_sets(config, bundle, seq.video_id, sets)
@@ -522,13 +531,7 @@ class ExperimentResult:
 def _encode_manifest(
     config: PipelineConfig, bundle: ModelBundle, manifest: DatasetManifest, dims: int | None = None
 ) -> list[tuple[VideoVector, int]]:
-    pairs = []
-    for e, frames in _read_frames(manifest, dims):
-        sets = _descriptor_sets(
-            config, bundle.pca, frames, config.time_branch_enabled, config.dft_branch_enabled
-        )
-        pairs.append((_fuse_sets(config, bundle, e.video_id, sets), e.label))
-    return pairs
+    return [(encode_video(config, bundle, seq), e.label) for e, seq in _read_frames(manifest, dims)]
 
 
 def _repetition_split(config: PipelineConfig, manifest: DatasetManifest, r: int):

@@ -36,7 +36,10 @@ class PcaModel:
             and np.all(np.isfinite(explained))
         ):
             raise DataError("PCA parameters contain non-finite values")
-        gram = components @ components.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = components @ components.T
+        if not np.all(np.isfinite(gram)):
+            raise DataError("PCA component products overflow float64")
         if not np.allclose(gram, np.eye(components.shape[0]), atol=1e-8):
             raise DataError("PCA components are not orthonormal")
         if np.any(np.diff(explained) > 1e-12) or np.any(explained < -1e-12):
@@ -55,24 +58,31 @@ class PcaModel:
 
 
 def l2_normalize(v) -> np.ndarray:
-    """Scale a vector to unit length; the zero vector is returned unchanged."""
-    vec = np.asarray(v, dtype=np.float64)
+    """Scale a vector, or each row of a matrix, to unit length along the last
+    axis; zero rows are returned unchanged."""
+    # in C order each norm sums its row in the same order whatever the input layout
+    vec = np.asarray(v, dtype=np.float64, order="C")
     if not np.all(np.isfinite(vec)):
         raise DataError("cannot normalize a non-finite vector")
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        return vec.copy()
-    return vec / norm
+    norms = np.linalg.norm(vec, axis=-1, keepdims=True) if vec.ndim else np.abs(vec)
+    return vec / np.where(norms == 0.0, 1.0, norms)
 
 
-def _pca_fit_blocks(blocks, output_dims: int) -> PcaModel:
-    """Fit PCA on the rows of a list of row blocks, as if they were stacked.
+def pca_fit(descriptors, output_dims: int) -> PcaModel:
+    """Fit PCA on an M x D sample: eigendecomposition of its centered scatter.
 
-    One pass sums the rows for the mean; a second accumulates the centered
-    D x D scatter block by block, so no M x D matrix is formed. The components
-    are the eigenvectors of the scatter in descending eigenvalue order.
+    ``descriptors`` is one M x D array-like or a list of 2-D row blocks that
+    are fitted as if stacked. One pass sums the rows for the mean; a second
+    accumulates the centered D x D scatter block by block, so no stacked
+    matrix is formed. ``output_dims`` is clipped to min(D, M-1) with a warning
+    when it exceeds the attainable rank. Component signs are fixed so the
+    largest-magnitude entry of each component is positive, making fits
+    reproducible.
     """
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+    if isinstance(descriptors, (list, tuple)) and descriptors and np.ndim(descriptors[0]) == 2:
+        blocks = [np.asarray(b, dtype=np.float64) for b in descriptors]
+    else:
+        blocks = [np.asarray(descriptors, dtype=np.float64)]
     if any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1] for b in blocks):
         raise DataError("descriptors must be an M x D matrix")
     m = sum(b.shape[0] for b in blocks)
@@ -85,7 +95,7 @@ def _pca_fit_blocks(blocks, output_dims: int) -> PcaModel:
     if output_dims > limit:
         warnings.warn(
             f"requested {output_dims} components exceeds attainable rank {limit}; clipping",
-            stacklevel=3,
+            stacklevel=2,
         )
         output_dims = limit
     mean = sum(b.sum(axis=0) for b in blocks) / m
@@ -101,16 +111,6 @@ def _pca_fit_blocks(blocks, output_dims: int) -> PcaModel:
             row *= -1.0
     explained = np.maximum(eigenvalues[::-1][:output_dims], 0.0) / (m - 1)
     return PcaModel(mean=mean, components=components, explained_variance=explained)
-
-
-def pca_fit(descriptors, output_dims: int) -> PcaModel:
-    """Fit PCA on an M x D sample: eigendecomposition of its centered scatter.
-
-    ``output_dims`` is clipped to min(D, M-1) with a warning when it exceeds
-    the attainable rank. Component signs are fixed so the largest-magnitude
-    entry of each component is positive, making fits reproducible.
-    """
-    return _pca_fit_blocks([descriptors], output_dims)
 
 
 def pca_transform(model: PcaModel, v) -> np.ndarray:

@@ -88,15 +88,24 @@ def _keys_outer(t: np.ndarray) -> np.ndarray:
     return ((-0.5 * t + 2.5) * t - 4.0) * t + 2.0
 
 
-def _resample_rows(rows: np.ndarray, target_length: int) -> np.ndarray:
-    """Resample every row of a (rows, N) matrix to ``target_length`` points.
+def cubic_resample(points, target_length: int) -> np.ndarray:
+    """Resample to ``target_length`` points via cubic convolution along the last axis.
 
-    The kernel taps and weights depend only on (N, L), so they are built once
-    and applied to all rows together.
+    Input samples sit at 0, 1/(N-1), ..., 1 on a normalized axis and outputs
+    are taken at 0, 1/(L-1), ..., 1. Kernel taps outside the data are filled
+    by linear extrapolation of the two edge samples. Lengths below the
+    4-point kernel support fall back to linear interpolation (N of 2 or 3)
+    or constant replication (N of 1). The taps and weights depend only on
+    (N, L), so they are built once and applied to every row of the input.
     """
-    count, n = rows.shape
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim < 1 or pts.shape[-1] < 1:
+        raise DataError("points must contain at least one sample")
+    if target_length < 1:
+        raise DataError(f"target_length must be positive, got {target_length}")
+    n = pts.shape[-1]
     if n == 1:
-        return np.repeat(rows, target_length, axis=1)
+        return np.repeat(pts, target_length, axis=-1)
     if target_length == 1:
         positions = np.zeros(1)
     else:
@@ -105,35 +114,18 @@ def _resample_rows(rows: np.ndarray, target_length: int) -> np.ndarray:
     frac = positions - base
     if n < 4:
         # linear interpolation with np.interp's arithmetic, exact at the last sample
-        left, right = rows[:, base], rows[:, base + 1]
+        left, right = pts[..., base], pts[..., base + 1]
         return np.where(positions == n - 1, right, (right - left) * frac + left)
-    padded = np.empty((count, n + 2))
-    padded[:, 1:-1] = rows
-    padded[:, 0] = 2.0 * rows[:, 0] - rows[:, 1]
-    padded[:, -1] = 2.0 * rows[:, -1] - rows[:, -2]
+    padded = np.empty(pts.shape[:-1] + (n + 2,))
+    padded[..., 1:-1] = pts
+    padded[..., 0] = 2.0 * pts[..., 0] - pts[..., 1]
+    padded[..., -1] = 2.0 * pts[..., -1] - pts[..., -2]
     weights = np.stack(
         [_keys_outer(1.0 + frac), _keys_inner(frac), _keys_inner(1.0 - frac), _keys_outer(2.0 - frac)],
         axis=1,
     )
-    taps = padded[:, base[:, None] + np.arange(4)[None, :]]
+    taps = padded[..., base[:, None] + np.arange(4)[None, :]]
     return np.sum(weights * taps, axis=-1)
-
-
-def cubic_resample(points, target_length: int) -> np.ndarray:
-    """Resample a vector to ``target_length`` points via cubic convolution.
-
-    Input samples sit at 0, 1/(N-1), ..., 1 on a normalized axis and outputs
-    are taken at 0, 1/(L-1), ..., 1. Kernel taps outside the data are filled
-    by linear extrapolation of the two edge samples. Lengths below the
-    4-point kernel support fall back to linear interpolation (N of 2 or 3)
-    or constant replication (N of 1).
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 1 or pts.shape[0] < 1:
-        raise DataError("points must be a non-empty vector")
-    if target_length < 1:
-        raise DataError(f"target_length must be positive, got {target_length}")
-    return _resample_rows(pts[None, :], target_length)[0]
 
 
 def spectrum_of_sequence(seq: FeatureSequence, target_length: int) -> Spectrum:
@@ -143,11 +135,6 @@ def spectrum_of_sequence(seq: FeatureSequence, target_length: int) -> Spectrum:
     undershoot is clamped at zero so magnitudes stay non-negative. All videos
     get the identical normalized frequency axis regardless of frame count.
     """
-    if target_length < 1:
-        raise DataError(f"target_length must be positive, got {target_length}")
+    values = np.maximum(cubic_resample(dft_magnitude(seq.values), target_length), 0.0)
     axis = np.linspace(0.0, 1.0, target_length) if target_length > 1 else np.zeros(1)
-    return Spectrum(values=_spectrum_rows(seq.values, target_length), frequency_axis=axis)
-
-
-def _spectrum_rows(values: np.ndarray, target_length: int) -> np.ndarray:
-    return np.maximum(_resample_rows(dft_magnitude(values), target_length), 0.0)
+    return Spectrum(values=values, frequency_axis=axis)

@@ -284,7 +284,11 @@ def _one_line_error(capsys) -> str:
 
 @pytest.mark.parametrize(
     "text, expected",
-    [(b"seed=1\n# r\xe9sum\xe9\n", "not UTF-8"), (b"svm_c=nan\n", "svm_c must be finite")],
+    [
+        (b"seed=1\n# r\xe9sum\xe9\n", "not UTF-8"),
+        (b"svm_c=nan\n", "svm_c must be finite"),
+        (b"seed=-1\n", "seed must be non-negative, got -1"),
+    ],
 )
 def test_run_with_bad_config_exits_1(dataset, tmp_path, capsys, text, expected):
     manifest_path, _ = dataset
@@ -309,6 +313,13 @@ def test_synth_with_non_utf8_spec_exits_1(tmp_path, capsys):
     spec_path.write_bytes(SYNTH_SPEC.encode("utf-8") + b"# \xff\n")
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
     assert "synth.cfg: not UTF-8" in _one_line_error(capsys)
+
+
+def test_synth_with_negative_seed_exits_1(tmp_path, capsys):
+    spec_path = tmp_path / "synth.cfg"
+    spec_path.write_text(SYNTH_SPEC.replace("seed=13", "seed=-1"), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+    assert "seed must be non-negative, got -1" in _one_line_error(capsys)
 
 
 def test_encode_with_nul_in_feature_path_exits_2(dataset, tmp_path, capsys):

@@ -15,7 +15,9 @@ from tdfenc import (
     save_codebook,
     save_gmm_model,
 )
+from tdfenc import binio
 from tdfenc.codebook import (
+    CODEBOOK_MAGIC,
     _LABEL_BLOCK_ROWS,
     _kmeans_pp_init,
     _nearest_labels,
@@ -289,6 +291,16 @@ class TestValidation:
     def test_codebook_duplicate_centroids_rejected(self):
         with pytest.raises(DataError, match="identical"):
             Codebook(np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_centroid_distances_rejected_without_warnings(self, tmp_path):
+        centroids = np.array([[1e200, 0.0], [0.0, 1e200]])
+        with pytest.raises(DataError, match="overflow float64"):
+            Codebook(centroids)
+        path = tmp_path / "huge.tdfc"
+        path.write_bytes(binio.pack_header(CODEBOOK_MAGIC, 2, 2) + binio.f64_bytes(centroids))
+        with pytest.raises(DataError, match="overflow float64"):
+            load_codebook(path)
 
     def test_gmm_weights_must_sum_to_one(self):
         with pytest.raises(DataError):

@@ -127,6 +127,8 @@ class TestConfigParsing:
             PipelineConfig.emotion_defaults(time_encoder="mean")
         with pytest.raises(ConfigError, match="dft_pool_axis must be one of"):
             PipelineConfig.action_defaults(dft_pool_axis="time")
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            PipelineConfig(seed=-1)
 
     def test_default_codebook_sizes(self):
         assert PipelineConfig(time_encoder="llc").codebook_size("time") == 1024
@@ -197,6 +199,8 @@ class TestSynthSpec:
             tiny_spec(noise=-0.1)
         with pytest.raises(ConfigError, match="need one frequency per class"):
             replace(tiny_spec(), num_classes=3)
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            tiny_spec(seed=-1)
 
     def test_frequency_range_validated(self):
         with pytest.raises(ConfigError, match="frequencies"):
@@ -389,13 +393,13 @@ class TestFitModels:
         manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
         seed = 7
         monkeypatch.setattr("tdfenc.pipeline.PCA_SAMPLE_CAP", cap)
-        fitted_blocks, fit = [], pipeline._pca_fit_blocks
+        fitted_blocks, fit = [], pipeline.pca_fit
 
         def recording_fit(blocks, output_dims):
             fitted_blocks.extend(blocks)
             return fit(blocks, output_dims)
 
-        monkeypatch.setattr(pipeline, "_pca_fit_blocks", recording_fit)
+        monkeypatch.setattr(pipeline, "pca_fit", recording_fit)
         bundle = fit_models(PipelineConfig(pca_dims=3, spectrum_length=16, seed=seed), manifest)
 
         frames = [
@@ -413,8 +417,8 @@ class TestFitModels:
     @pytest.mark.parametrize(
         "overrides,forbidden",
         [
-            (dict(pca_dims=3), ("pca_transform", "_spectrum_rows")),
-            (dict(time_encoder="vlad", time_codebook_size=3), ("_spectrum_rows",)),
+            (dict(pca_dims=3), ("pca_transform", "spectrum_of_sequence")),
+            (dict(time_encoder="vlad", time_codebook_size=3), ("spectrum_of_sequence",)),
         ],
     )
     def test_fit_builds_only_the_descriptors_it_fits_on(
@@ -572,6 +576,37 @@ class TestRunRepeatedExperiment:
         message = f"^{odd.video_id}: has 3 descriptor dims, dataset uses 4$"
         with pytest.raises(DataError, match=message):
             run_repeated_experiment(config, manifest, 1)
+
+
+def test_experiment_runs_the_public_layer_functions(tmp_path, monkeypatch):
+    import tdfenc.pipeline as pipeline
+
+    manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+    config = PipelineConfig(pca_dims=3, spectrum_length=16, svm_c=10.0, seed=3)
+    calls = dict.fromkeys(("pca_fit", "spectrum_of_sequence", "l2_normalize", "encode_video"), 0)
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    repetitions = 2
+    run_repeated_experiment(config, manifest, repetitions)
+    videos = repetitions * len(manifest.entries)
+    test_videos = sum(
+        len(split_train_test(manifest, config.train_fraction, config.seed + r)[1].entries)
+        for r in range(1, repetitions + 1)
+    )
+    assert calls == {
+        "pca_fit": repetitions,
+        "spectrum_of_sequence": videos,
+        "l2_normalize": videos,
+        "encode_video": test_videos,
+    }
 
 
 # PCA with a codebook encoder on at least one branch; no benchmark workload runs this

@@ -10,7 +10,9 @@ from tdfenc import (
     save_pca_model,
     scale_to_norm,
 )
+from tdfenc import binio
 from tdfenc.errors import DataError
+from tdfenc.preprocess import PCA_MAGIC
 
 
 class TestL2Normalize:
@@ -19,6 +21,10 @@ class TestL2Normalize:
 
     def test_zero_vector_unchanged(self):
         np.testing.assert_array_equal(l2_normalize([0.0, 0.0]), [0.0, 0.0])
+
+    def test_scalar_scaled_to_its_sign(self):
+        assert l2_normalize(-3.0) == -1.0
+        assert l2_normalize(0.0) == 0.0
 
     def test_unit_norm_property(self):
         rng = np.random.default_rng(0)
@@ -35,6 +41,21 @@ class TestL2Normalize:
         np.testing.assert_allclose(l2_normalize(once), once, atol=1e-12)
         for alpha in (0.5, 2.0, 17.0):
             np.testing.assert_allclose(l2_normalize(alpha * v), once, atol=1e-12)
+
+    def test_matrix_rows_normalized_and_zero_row_kept(self):
+        rows = np.random.default_rng(4).normal(size=(5, 7))
+        rows[2] = 0.0
+        out = l2_normalize(rows)
+        np.testing.assert_array_equal(out[2], np.zeros(7))
+        for i in (0, 1, 3, 4):
+            np.testing.assert_allclose(out[i], l2_normalize(rows[i]), rtol=0, atol=1e-15)
+            assert abs(np.linalg.norm(out[i]) - 1.0) < 1e-12
+
+    def test_non_finite_row_rejected(self):
+        rows = np.ones((3, 4))
+        rows[1, 2] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            l2_normalize(rows)
 
 
 class TestPcaFit:
@@ -95,6 +116,23 @@ class TestPcaFit:
     def test_too_few_samples(self):
         with pytest.raises(DataError):
             pca_fit(np.zeros((1, 4)), 2)
+
+    def test_row_blocks_fit_as_if_stacked(self):
+        data = np.random.default_rng(5).normal(size=(40, 6))
+        stacked = pca_fit(data, 4)
+        blocks = pca_fit([data[:7], data[7:7], data[7:31], data[31:]], 4)
+        np.testing.assert_allclose(blocks.mean, stacked.mean, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(blocks.components, stacked.components, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            blocks.explained_variance, stacked.explained_variance, rtol=1e-12
+        )
+        np.testing.assert_array_equal(pca_fit(data.tolist(), 4).components, stacked.components)
+
+    def test_bad_row_blocks_rejected(self):
+        with pytest.raises(DataError, match="M x D"):
+            pca_fit([np.zeros((3, 4)), np.zeros((3, 5))], 2)
+        with pytest.raises(DataError, match="at least 2 descriptors, got 1"):
+            pca_fit([np.zeros((1, 4)), np.zeros((0, 4))], 2)
 
 
 def _svd_reference(data, k):
@@ -191,6 +229,22 @@ class TestScaleToNorm:
     def test_zero_vector_rejected(self):
         with pytest.raises(DataError, match="zero vector"):
             scale_to_norm([0.0, 0.0], 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_pca_components_rejected_without_warnings(tmp_path):
+    mean, components, explained = np.zeros(2), np.array([[1e200, 0.0]]), np.ones(1)
+    with pytest.raises(DataError, match="overflow float64"):
+        PcaModel(mean=mean, components=components, explained_variance=explained)
+    path = tmp_path / "huge.tdfp"
+    path.write_bytes(
+        binio.pack_header(PCA_MAGIC, 2, 1)
+        + binio.f64_bytes(mean)
+        + binio.f64_bytes(components)
+        + binio.f64_bytes(explained)
+    )
+    with pytest.raises(DataError, match="overflow float64"):
+        load_pca_model(path)
 
 
 def test_pca_model_roundtrip_byte_identical(tmp_path):

@@ -164,6 +164,13 @@ class TestSpectrumOfSequence:
                         rtol=0.0,
                         atol=1e-9,
                     )
+                for points in (values, np.stack([values, 2.0 * values[::-1]])):
+                    resampled = cubic_resample(points, length)
+                    assert resampled.shape == points.shape[:-1] + (length,)
+                    for index in np.ndindex(points.shape[:-1]):
+                        np.testing.assert_array_equal(
+                            resampled[index], cubic_resample(points[index], length)
+                        )
 
     def test_values_clamped_non_negative(self):
         rng = np.random.default_rng(8)
