@@ -2,9 +2,10 @@
 
 Each class c gets a binary subproblem minimizing
 ``0.5*||w||^2 + C * sum_i max(1 - y_i*(w.x_i + b), 0)`` with y_i = +1 for
-class c and -1 otherwise. The bias is handled by augmenting inputs with a
-constant-1 coordinate, so it carries the same (negligible at this scale)
-regularization as the weights.
+class c and -1 otherwise. The dual solved is that of inputs augmented with a
+constant-1 coordinate, where b carries the same (negligible at this scale)
+regularization as w; the objective recorded and used to pick the best iterate
+(``hinge_objective``) is the one above, which leaves b out.
 """
 
 from __future__ import annotations
@@ -68,53 +69,65 @@ def hinge_objective(weights, bias: float, penalty: float, inputs, targets) -> fl
 
 
 def _train_binary(
-    augmented: np.ndarray,
-    diag: np.ndarray,
+    gram: np.ndarray,
     targets: np.ndarray,
     penalty: float,
     max_epochs: int,
     tol: float,
     rng: np.random.Generator,
     trace: list | None,
-) -> np.ndarray:
-    """Dual coordinate descent for one binary subproblem on bias-augmented inputs.
+) -> tuple[np.ndarray, float]:
+    """Dual coordinate descent for one binary subproblem over the Gram matrix.
 
-    ``diag`` holds the squared norms of the augmented rows. Coordinate updates
-    decrease the dual objective but the primal can swing between epochs, so
-    the candidate model kept after each epoch (and finally returned) is the
-    iterate with the lowest primal objective seen so far.
+    The dual is that of the bias-augmented inputs (kernel ``gram + 1``), where b
+    is regularized like w. With ``beta = y*alpha``, ``w = X^T beta``, b is the
+    running ``sum(beta)`` and ``scores = gram @ beta`` gains one row of gram per
+    alpha that moves. The primal can swing between epochs, so the iterate
+    returned is the one with the lowest ``hinge_objective``, which leaves b out.
     """
-    count, width = augmented.shape
-    alpha = np.zeros(count)
-    w = np.zeros(width)
-    best_w = w.copy()
+    count = len(targets)
+    y = targets.tolist()
+    diag = (gram.diagonal() + 1.0).tolist()
+    rows = list(gram)
+    alpha = [0.0] * count
+    scores = np.zeros(count)
+    bias = 0.0
+    best_beta, best_bias = np.zeros(count), 0.0
     best_objective = np.inf
     for _ in range(max_epochs):
         worst = 0.0
-        for i in rng.permutation(count):
-            grad = targets[i] * np.dot(w, augmented[i]) - 1.0
+        for i in rng.permutation(count).tolist():
+            grad = y[i] * (scores.item(i) + bias) - 1.0
             a = alpha[i]
+            # magnitude of the projected gradient
             if a <= 0.0:
-                projected = min(grad, 0.0)
+                projected = -grad if grad < 0.0 else 0.0
             elif a >= penalty:
-                projected = max(grad, 0.0)
+                projected = grad if grad > 0.0 else 0.0
             else:
-                projected = grad
-            worst = max(worst, abs(projected))
-            if abs(projected) > 1e-14:
-                updated = min(max(a - grad / diag[i], 0.0), penalty)
+                projected = abs(grad)
+            if projected > worst:
+                worst = projected
+            if projected > 1e-14:
+                updated = a - grad / diag[i]
+                updated = 0.0 if updated < 0.0 else penalty if updated > penalty else updated
                 if updated != a:
-                    w += (updated - a) * targets[i] * augmented[i]
+                    step = (updated - a) * y[i]
+                    scores += step * rows[i]
+                    bias += step
                     alpha[i] = updated
-        objective = hinge_objective(w[:-1], w[-1], penalty, augmented[:, :-1], targets)
+        beta = targets * alpha
+        products = gram @ beta
+        hinge = np.maximum(1.0 - targets * (products + bias), 0.0)
+        objective = 0.5 * float(beta @ products) + penalty * float(hinge.sum())
         if objective < best_objective:
             best_objective = objective
-            best_w = w.copy()
+            best_beta, best_bias = beta, bias
         if trace is not None:
             trace.append(best_objective)
         if worst < tol:
             break
-    return best_w
+    return best_beta, best_bias
 
 
 def train_linear_svm(
@@ -137,8 +150,8 @@ def train_linear_svm(
     """
     if num_classes < 2:
         raise DataError(f"need at least 2 classes, got {num_classes}")
-    if penalty <= 0:
-        raise DataError(f"penalty must be positive, got {penalty}")
+    if not (penalty > 0 and np.isfinite(penalty)):
+        raise DataError(f"penalty must be positive and finite, got {penalty}")
     if max_epochs < 1:
         raise DataError(f"max_epochs must be positive, got {max_epochs}")
     if not train:
@@ -155,22 +168,25 @@ def train_linear_svm(
         if not np.any(labels == c):
             raise DataError(f"class {c} has no training examples")
     data = np.vstack(rows)
-    augmented = np.hstack([data, np.ones((data.shape[0], 1))])
-    diag = np.sum(augmented * augmented, axis=1)  # shared by every class
-    weights = np.zeros((num_classes, width))
-    biases = np.zeros(num_classes)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DataError(f"training vector {int(np.argmin(finite))} has non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = data @ data.T
+    if not np.isfinite(gram).all():
+        raise DataError("training vectors are too large: their inner products overflow float64")
+    betas = np.empty((num_classes, len(rows)))
+    biases = np.empty(num_classes)
     for c in range(num_classes):
         targets = np.where(labels == c, 1.0, -1.0)
         rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
         class_trace: list | None = [] if objective_trace is not None else None
-        solution = _train_binary(
-            augmented, diag, targets, penalty, max_epochs, tol, rng, class_trace
+        betas[c], biases[c] = _train_binary(
+            gram, targets, penalty, max_epochs, tol, rng, class_trace
         )
-        weights[c] = solution[:-1]
-        biases[c] = solution[-1]
         if objective_trace is not None:
             objective_trace.append(class_trace)
-    return LinearSvmModel(weights=weights, biases=biases, penalty=penalty)
+    return LinearSvmModel(weights=betas @ data, biases=biases, penalty=penalty)
 
 
 def predict(model: LinearSvmModel, x) -> tuple[int, np.ndarray]:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's computation paths: interpolation is a
 scalar per-point loop, LLC is an iterative constrained solver, Fisher vectors
 come from finite differences of an explicit log-likelihood, and the SVM bound
-comes from subgradient descent.
+comes from subgradient descent. The SVM reference trainer runs the same dual
+coordinate descent as the library on P-length primal rows, not on the Gram
+matrix.
 """
 
 import numpy as np
@@ -142,3 +144,56 @@ def svm_subgradient_oracle(inputs, targets, penalty, steps=200000):
         objective = 0.5 * w @ w + penalty * np.maximum(1.0 - targets * (inputs @ w + b), 0.0).sum()
         best = min(best, objective)
     return best
+
+
+def svm_primal_rows_reference(inputs, labels, num_classes, penalty, max_epochs, tol, seed):
+    """One-vs-rest dual coordinate descent that keeps the bias-augmented primal w.
+
+    Each coordinate reads its gradient as a dot product of w with its augmented
+    row and a move of its alpha adds that row to w; each epoch's primal is
+    computed from w. The permutations, update rule, ``tol`` test and best-primal
+    rule are those of ``train_linear_svm``. Returns the weights, the biases and
+    one per-epoch list of best primal objectives per class.
+    """
+    augmented = np.hstack([inputs, np.ones((inputs.shape[0], 1))])
+    diag = np.sum(augmented * augmented, axis=1)
+    count, width = augmented.shape
+    weights = np.zeros((num_classes, width - 1))
+    biases = np.zeros(num_classes)
+    traces = []
+    for c in range(num_classes):
+        targets = np.where(labels == c, 1.0, -1.0)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+        alpha = np.zeros(count)
+        w = np.zeros(width)
+        best_w = w.copy()
+        best_objective = np.inf
+        trace = []
+        for _ in range(max_epochs):
+            worst = 0.0
+            for i in rng.permutation(count):
+                grad = targets[i] * np.dot(w, augmented[i]) - 1.0
+                a = alpha[i]
+                if a <= 0.0:
+                    projected = min(grad, 0.0)
+                elif a >= penalty:
+                    projected = max(grad, 0.0)
+                else:
+                    projected = grad
+                worst = max(worst, abs(projected))
+                if abs(projected) > 1e-14:
+                    updated = min(max(a - grad / diag[i], 0.0), penalty)
+                    if updated != a:
+                        w += (updated - a) * targets[i] * augmented[i]
+                        alpha[i] = updated
+            margins = targets * (inputs @ w[:-1] + w[-1])
+            objective = 0.5 * w[:-1] @ w[:-1] + penalty * np.maximum(1.0 - margins, 0.0).sum()
+            if objective < best_objective:
+                best_objective = objective
+                best_w = w.copy()
+            trace.append(best_objective)
+            if worst < tol:
+                break
+        weights[c], biases[c] = best_w[:-1], best_w[-1]
+        traces.append(trace)
+    return weights, biases, traces
