@@ -300,13 +300,19 @@ def gmm_fit(
     tol: float = 1e-6,
     trace: list | None = None,
 ) -> GmmModel:
-    """Diagonal-covariance EM initialized from a seeded K-means fit.
+    """Diagonal-covariance EM started from a seeded K-means fit.
 
-    Iterates until the average log-likelihood improves by less than ``tol``
-    or ``max_iters`` is reached; variances are floored at a small fraction of
-    the mean data variance so degenerate components stay well-defined. If
+    EM starts with an M-step on the K-means labels as one-hot
+    responsibilities, so each component starts with its share of the rows and
+    their mean and variances; a component with no row gets a vanishing weight.
+    Each iteration scores the model (E-step) and, unless it stops, re-fits it
+    from the posteriors (M-step). EM stops when the average log-likelihood
+    improves by less than ``tol`` or after ``max_iters`` scores, and returns
+    the last model scored. Variances are floored at a small fraction of the
+    mean data variance so degenerate components stay well-defined. If
     ``trace`` is a list, the average log-likelihood of each E-step is
-    appended (a non-decreasing sequence up to numerical slack).
+    appended (a non-decreasing sequence up to numerical slack); its last entry
+    belongs to the returned model.
     """
     data = np.asarray(descriptors, dtype=np.float64)
     if data.ndim != 2:
@@ -323,24 +329,9 @@ def gmm_fit(
         floor = 1e-12
     codebook = kmeans_fit(data, num_components, seed, max_iters)
     labels = _nearest_labels(data, codebook.centroids)
-    counts = np.bincount(labels, minlength=num_components).astype(np.float64)
-    counts = np.maximum(counts, 1.0)
-    weights = counts / counts.sum()
-    means = codebook.centroids.copy()
-    variances = np.full_like(means, floor)
-    for k in range(num_components):
-        members = data[labels == k]
-        if members.shape[0] > 0:
-            variances[k] = np.maximum(np.var(members, axis=0), floor)
-    model = GmmModel(weights=weights, means=means, variances=variances)
+    resp = (labels[:, None] == np.arange(num_components)).astype(np.float64)
     previous = None
     for _ in range(max_iters):
-        resp, avg_ll = gmm_responsibilities(model, data)
-        if trace is not None:
-            trace.append(avg_ll)
-        if previous is not None and avg_ll - previous < tol:
-            break
-        previous = avg_ll
         mass = np.maximum(resp.sum(axis=0), 1e-300)
         weights = mass / m
         weights = weights / weights.sum()
@@ -348,6 +339,12 @@ def gmm_fit(
         second = (resp.T @ (data * data)) / mass[:, None]
         variances = np.maximum(second - means * means, floor)
         model = GmmModel(weights=weights, means=means, variances=variances)
+        resp, avg_ll = gmm_responsibilities(model, data)
+        if trace is not None:
+            trace.append(avg_ll)
+        if previous is not None and avg_ll - previous < tol:
+            break
+        previous = avg_ll
     return model
 
 

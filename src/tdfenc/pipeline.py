@@ -61,8 +61,6 @@ POOL_AXES = ("dimension", "frequency")
 # default codebook sizes when a size is not given explicitly
 DEFAULT_CODEBOOK_SIZES = {"llc": 1024, "fv": 16, "vlad": 16}
 
-PCA_SAMPLE_CAP = 100_000
-
 # seed offsets so per-branch fits draw independent streams from one config seed
 _TIME_FIT_SEED_OFFSET = 11
 _DFT_FIT_SEED_OFFSET = 12
@@ -405,22 +403,13 @@ def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: boo
     (entry, descriptor sets) per video for the branches asked for.
 
     Each video's frames are unit-normalized with ``l2_normalize``. ``pca_fit``
-    gets them as one row block per video and is never handed a stacked frame
-    matrix. Above PCA_SAMPLE_CAP frames, the seeded draw indexes the frames in
-    manifest order, and each video passes on the rows drawn from it.
+    gets every training frame, as one row block per video, and is never handed
+    a stacked frame matrix.
     """
     videos = [(e, l2_normalize(seq.values.T)) for e, seq in _read_frames(manifest)]
     pca = None
     if config.pca_dims is not None:
-        blocks = [frames for _, frames in videos]
-        ends = np.cumsum([len(frames) for frames in blocks])
-        if ends[-1] > PCA_SAMPLE_CAP:
-            rng = np.random.default_rng(config.seed)
-            keep = np.sort(rng.choice(int(ends[-1]), PCA_SAMPLE_CAP, replace=False))
-            drawn = np.split(keep, np.searchsorted(keep, ends[:-1]))
-            # a drawn stack index minus its video's first stack index is a row of that video
-            blocks = [f[d - (end - len(f))] for f, d, end in zip(blocks, drawn, ends)]
-        pca = pca_fit(blocks, config.pca_dims)
+        pca = pca_fit([frames for _, frames in videos], config.pca_dims)
     sets = [(e, _descriptor_sets(config, pca, e.video_id, f, time, dft)) for e, f in videos]
     time_model = _fit_branch_model(config, "time", [t for _, (t, _) in sets]) if time else None
     dft_model = _fit_branch_model(config, "dft", [d for _, (_, d) in sets]) if dft else None
@@ -430,9 +419,8 @@ def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: boo
 def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle:
     """Fit the optional PCA and any branch codebooks/GMMs on training videos.
 
-    PCA is ``pca_fit`` on the unit-normalized training frames, handed as one
-    row block per video so no stacked frame matrix is formed; above 100,000
-    frames it sees a seeded uniform subsample of them. Branch models are
+    PCA is ``pca_fit`` on every unit-normalized training frame, handed as one
+    row block per video so no stacked frame matrix is formed. Branch models are
     fitted on that branch's descriptors from the training videos only, with
     separate seeds per branch. Each video is read once, and only if PCA or a
     codebook needs it; the descriptor sets are computed only for branches with

@@ -192,14 +192,20 @@ def train_linear_svm(
 def predict(model: LinearSvmModel, x) -> tuple[int, np.ndarray]:
     """Class index with the highest score and the full score vector.
 
-    Scores are ``w_c . x + b_c``; ties go to the lowest class index.
+    Scores are ``w_c . x + b_c``; ties go to the lowest class index. An input
+    with NaN or ±inf, or one whose scores overflow, raises ``DataError``.
     """
     vec = _vector_of(x)
     if vec.shape != (model.dims,):
         raise DataError(
             f"dimension mismatch: input shape {vec.shape}, model dims {model.dims}"
         )
-    scores = model.weights @ vec + model.biases
+    if not np.isfinite(vec).all():
+        raise DataError("input vector has non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = model.weights @ vec + model.biases
+    if not np.isfinite(scores).all():
+        raise DataError("input scores overflow float64")
     return int(np.argmax(scores)), scores
 
 

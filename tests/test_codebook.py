@@ -7,8 +7,10 @@ from tdfenc import (
     Codebook,
     GmmModel,
     assign_nearest,
+    fisher_encode,
     gmm_fit,
     gmm_posteriors,
+    gmm_responsibilities,
     kmeans_fit,
     load_codebook,
     load_gmm_model,
@@ -18,6 +20,7 @@ from tdfenc import (
 from tdfenc import binio
 from tdfenc.codebook import (
     CODEBOOK_MAGIC,
+    VARIANCE_FLOOR_SCALE,
     _LABEL_BLOCK_ROWS,
     _kmeans_pp_init,
     _nearest_labels,
@@ -235,6 +238,47 @@ class TestGmmFit:
     def test_too_few_points(self):
         with pytest.raises(DataError):
             gmm_fit(np.arange(4.0).reshape(2, 2), 3, seed=0)
+
+    def test_one_iteration_returns_the_hard_m_step_model(self):
+        rng = np.random.default_rng(11)
+        data = np.hstack([rng.normal(1.0, 0.5, size=(90, 2)), np.full((90, 1), 3.0)])
+        trace = []
+        model = gmm_fit(data, 3, seed=4, max_iters=1, trace=trace)
+        labels = _nearest_labels(data, kmeans_fit(data, 3, seed=4, max_iters=1).centroids)
+        floor = VARIANCE_FLOOR_SCALE * float(np.mean(np.var(data, axis=0)))
+        members = [data[labels == k] for k in range(3)]
+        weights = [len(rows) / len(data) for rows in members]
+        means = [rows.mean(axis=0) for rows in members]
+        variances = [np.maximum(rows.var(axis=0), floor) for rows in members]
+        np.testing.assert_allclose(model.weights, weights, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(model.means, means, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(model.variances, variances, rtol=1e-12, atol=1e-12)
+        # the constant column is floored in every component
+        np.testing.assert_array_equal(model.variances[:, 2], floor)
+        assert len(trace) == 1
+
+    @pytest.mark.parametrize("max_iters,at_cap", [(1, True), (3, True), (100, False)])
+    def test_returns_the_last_model_it_scored(self, max_iters, at_cap):
+        rng = np.random.default_rng(12)
+        data = np.vstack([rng.normal(c * 2.0, 0.6, size=(60, 3)) for c in range(3)])
+        trace = []
+        model = gmm_fit(data, 3, seed=2, max_iters=max_iters, tol=1e-12, trace=trace)
+        assert (len(trace) == max_iters) == at_cap
+        assert trace[-1] == gmm_responsibilities(model, data)[1]
+
+    @pytest.mark.parametrize("max_iters", [1, 100])
+    def test_component_with_no_row_stays_valid(self, monkeypatch, max_iters):
+        rng = np.random.default_rng(13)
+        data = rng.normal(size=(50, 2))
+        centroids = np.array([[-1.0, 0.0], [1.0, 0.0], [1e3, 1e3]])
+        monkeypatch.setattr(
+            "tdfenc.codebook.kmeans_fit", lambda *args, **kwargs: Codebook(centroids)
+        )
+        assert np.bincount(_nearest_labels(data, centroids), minlength=3)[2] == 0
+        model = gmm_fit(data, 3, seed=0, max_iters=max_iters)
+        assert isinstance(model, GmmModel)
+        assert np.all(model.weights > 0) and np.all(model.variances > 0)
+        assert np.all(np.isfinite(fisher_encode(model, data).values))
 
 
 class TestGmmPosteriors:

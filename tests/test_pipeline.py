@@ -376,43 +376,17 @@ class TestFitModels:
         with pytest.raises(DataError, match="descriptors"):
             fit_models(config, manifest)
 
-    def test_pca_subsample_cap_applies_and_stays_deterministic(self, tmp_path, monkeypatch):
+    def test_pca_is_pca_fit_on_every_normalized_training_frame(self, tmp_path):
         manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
-        monkeypatch.setattr("tdfenc.pipeline.PCA_SAMPLE_CAP", 50)
-        config = PipelineConfig(pca_dims=2, spectrum_length=16, seed=7)
-        a = fit_models(config, manifest)
-        b = fit_models(config, manifest)
-        np.testing.assert_array_equal(a.pca.components, b.pca.components)
-        np.testing.assert_array_equal(a.pca.mean, b.pca.mean)
-
-    # 9 rows leave some videos unsampled; 300 of ~380 draw first frames of videos
-    @pytest.mark.parametrize("cap", [9, 300])
-    def test_pca_cap_samples_the_rows_of_the_stacked_frames(self, tmp_path, monkeypatch, cap):
-        import tdfenc.pipeline as pipeline
-
-        manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
-        seed = 7
-        monkeypatch.setattr("tdfenc.pipeline.PCA_SAMPLE_CAP", cap)
-        fitted_blocks, fit = [], pipeline.pca_fit
-
-        def recording_fit(blocks, output_dims):
-            fitted_blocks.extend(blocks)
-            return fit(blocks, output_dims)
-
-        monkeypatch.setattr(pipeline, "pca_fit", recording_fit)
-        bundle = fit_models(PipelineConfig(pca_dims=3, spectrum_length=16, seed=seed), manifest)
-
+        train, _ = split_train_test(manifest, 0.5, seed=3)
+        bundle = fit_models(PipelineConfig(pca_dims=3, spectrum_length=16, seed=7), train)
         frames = [
-            np.stack([l2_normalize(f) for f in read_feature_sequence(e.feature_path).values.T])
-            for e in manifest.entries
+            l2_normalize(read_feature_sequence(e.feature_path).values.T) for e in train.entries
         ]
-        stacked = np.vstack(frames)
-        rng = np.random.default_rng(seed)
-        reference = pca_fit(stacked[np.sort(rng.choice(len(stacked), cap, replace=False))], 3)
-        assert sum(len(b) for b in fitted_blocks) == cap
-        assert any(len(b) == 0 for b in fitted_blocks) == (cap == 9)
-        np.testing.assert_allclose(bundle.pca.mean, reference.mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bundle.pca.components, reference.components, rtol=0, atol=1e-10)
+        reference = pca_fit(frames, 3)
+        np.testing.assert_array_equal(bundle.pca.mean, reference.mean)
+        np.testing.assert_array_equal(bundle.pca.components, reference.components)
+        np.testing.assert_array_equal(bundle.pca.explained_variance, reference.explained_variance)
 
     @pytest.mark.parametrize(
         "overrides,forbidden",

@@ -139,6 +139,17 @@ class TestPredict:
         with pytest.raises(DataError):
             predict(model, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        model = LinearSvmModel(weights=[[1.0], [-1.0]], biases=[0.0, 0.0], penalty=1.0)
+        with pytest.raises(DataError, match="input vector has non-finite values"):
+            predict(model, np.array([bad]))
+
+    def test_overflowing_scores_rejected(self):
+        model = LinearSvmModel(weights=[[1e200], [-1.0]], biases=[0.0, 0.0], penalty=1.0)
+        with pytest.raises(DataError, match="input scores overflow float64"):
+            predict(model, np.array([1e200]))
+
 
 class TestHingeObjective:
     def test_zero_parameters_give_penalty_times_count(self):
