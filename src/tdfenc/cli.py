@@ -47,9 +47,15 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _load_pairs(index_path):
+def _load_pairs(index_path, dims: int | None = None):
+    """The index and its (vector, label) pairs, each vector of length ``dims``
+    (the first vector's if None); an error names the video."""
     manifest = read_manifest(index_path)
     pairs = [(load_video_vector(e.feature_path), e.label) for e in manifest.entries]
+    dims = pairs[0][0].dims if dims is None else dims
+    for e, (vector, _) in zip(manifest.entries, pairs):
+        if vector.dims != dims:
+            raise DataError(f"{e.video_id}: vector has {vector.dims} dims, expected {dims}")
     return manifest, pairs
 
 
@@ -130,9 +136,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_svm_model(args.model)
-    index = read_manifest(args.vectors)
-    for e in index.entries:
-        vector = load_video_vector(e.feature_path)
+    index, pairs = _load_pairs(args.vectors, model.dims)
+    for e, (vector, _) in zip(index.entries, pairs):
         predicted, scores = predict(model, vector)
         cells = "\t".join(_fmt(s) for s in scores)
         print(f"{e.video_id}\t{predicted}\t{cells}")
@@ -141,7 +146,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_svm_model(args.model)
-    _, pairs = _load_pairs(args.vectors)
+    _, pairs = _load_pairs(args.vectors, model.dims)
     report = evaluate(model, pairs)
     print(f"overall\t{_fmt(report.overall_accuracy)}")
     for c, acc in enumerate(report.per_class_accuracy):

@@ -56,6 +56,21 @@ def _nearest_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _descriptor_matrix(descriptors, dims: int | None = None) -> np.ndarray:
+    """Descriptors as a float64 matrix: a non-empty N x d matrix, with d equal to
+    ``dims`` when given, and no NaN or ±inf; anything else raises ``DataError``."""
+    data = np.asarray(descriptors, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
+        raise DataError(f"descriptors must be a non-empty N x d matrix, got shape {data.shape}")
+    if dims is not None and data.shape[1] != dims:
+        raise DataError(
+            f"dimension mismatch: descriptors have {data.shape[1]} dims, model expects {dims}"
+        )
+    if not np.all(np.isfinite(data)):
+        raise DataError("descriptors contain non-finite values")
+    return data
+
+
 def _row_sums(data: np.ndarray, labels: np.ndarray, num_rows: int) -> np.ndarray:
     """Sum of the rows of ``data`` that share each label, as a num_rows x d matrix.
 
@@ -210,13 +225,12 @@ def kmeans_fit(
 
     Each k-means++ draw takes the same index as ``rng.choice(m, p=...)`` on
     the same generator state: the inverse-CDF lookup that ``choice`` makes,
-    without its per-draw probability checks.
+    without its per-draw probability checks. Raises ``DataError`` unless the
+    descriptors are a non-empty, finite M x d matrix of at least ``num_words``
+    rows, when ``num_words`` or ``max_iters`` is not positive, and when
+    distances overflow float64.
     """
-    data = np.asarray(descriptors, dtype=np.float64)
-    if data.ndim != 2:
-        raise DataError("descriptors must be an M x d matrix")
-    if not np.all(np.isfinite(data)):
-        raise DataError("descriptors contain non-finite values")
+    data = _descriptor_matrix(descriptors)
     if num_words < 1:
         raise DataError(f"num_words must be positive, got {num_words}")
     if data.shape[0] < num_words:
@@ -242,12 +256,7 @@ def kmeans_fit(
 
 def assign_nearest(codebook: Codebook, x) -> int:
     """Index of the nearest centroid; ties break toward the lowest index."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.shape != (codebook.dims,):
-        raise DataError(
-            f"dimension mismatch: descriptor shape {vec.shape}, codebook dims {codebook.dims}"
-        )
-    return int(_nearest_labels(vec[None, :], codebook.centroids)[0])
+    return int(_nearest_labels(_descriptor_matrix([x], codebook.dims), codebook.centroids)[0])
 
 
 def _log_densities(model: GmmModel, data: np.ndarray) -> np.ndarray:
@@ -268,12 +277,10 @@ def _mahalanobis_sq(model: GmmModel, data: np.ndarray) -> np.ndarray:
 
 def gmm_responsibilities(model: GmmModel, descriptors) -> tuple[np.ndarray, float]:
     """Posterior probabilities per descriptor (rows of an M x K matrix) and the
-    average per-sample log-likelihood, computed in log space."""
-    data = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
-    if data.shape[1] != model.dims:
-        raise DataError(
-            f"dimension mismatch: descriptors have {data.shape[1]} dims, model has {model.dims}"
-        )
+    average per-sample log-likelihood, computed in log space. One d-vector is
+    one row; anything but a non-empty, finite M x ``model.dims`` matrix raises
+    ``DataError``."""
+    data = _descriptor_matrix(np.atleast_2d(descriptors), model.dims)
     log_joint = _log_densities(model, data)
     peak = np.max(log_joint, axis=1, keepdims=True)
     log_total = peak[:, 0] + np.log(np.sum(np.exp(log_joint - peak), axis=1))
@@ -283,12 +290,7 @@ def gmm_responsibilities(model: GmmModel, descriptors) -> tuple[np.ndarray, floa
 
 def gmm_posteriors(model: GmmModel, x) -> np.ndarray:
     """Posterior probability of each mixture component for one descriptor."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.shape != (model.dims,):
-        raise DataError(
-            f"dimension mismatch: descriptor shape {vec.shape}, model dims {model.dims}"
-        )
-    resp, _ = gmm_responsibilities(model, vec[None, :])
+    resp, _ = gmm_responsibilities(model, _descriptor_matrix([x], model.dims))
     return resp[0]
 
 
@@ -312,22 +314,17 @@ def gmm_fit(
     mean data variance so degenerate components stay well-defined. If
     ``trace`` is a list, the average log-likelihood of each E-step is
     appended (a non-decreasing sequence up to numerical slack); its last entry
-    belongs to the returned model.
+    belongs to the returned model. Raises ``DataError`` for a non-positive
+    ``tol`` and, from its K-means fit, for whatever ``kmeans_fit`` rejects.
     """
-    data = np.asarray(descriptors, dtype=np.float64)
-    if data.ndim != 2:
-        raise DataError("descriptors must be an M x d matrix")
-    if not np.all(np.isfinite(data)):
-        raise DataError("descriptors contain non-finite values")
-    if data.shape[0] < num_components:
-        raise DataError(f"need at least {num_components} descriptors, got {data.shape[0]}")
     if tol <= 0:
         raise DataError(f"tol must be positive, got {tol}")
+    data = np.asarray(descriptors, dtype=np.float64)
+    codebook = kmeans_fit(data, num_components, seed, max_iters)
     m = data.shape[0]
     floor = VARIANCE_FLOOR_SCALE * float(np.mean(np.var(data, axis=0)))
     if floor <= 0.0:
         floor = 1e-12
-    codebook = kmeans_fit(data, num_components, seed, max_iters)
     labels = _nearest_labels(data, codebook.centroids)
     resp = (labels[:, None] == np.arange(num_components)).astype(np.float64)
     previous = None

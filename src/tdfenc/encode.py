@@ -18,6 +18,7 @@ from . import binio
 from .codebook import (
     Codebook,
     GmmModel,
+    _descriptor_matrix,
     _nearest_labels,
     _row_sums,
     _squared_distances,
@@ -73,18 +74,9 @@ class LlcParams:
             raise DataError(f"lam must be non-negative, got {self.lam}")
 
 
-def _as_descriptor_matrix(descriptors) -> np.ndarray:
-    data = np.asarray(descriptors, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-        raise DataError(f"descriptors must be a non-empty N x d matrix, got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise DataError("descriptors contain non-finite values")
-    return data
-
-
 def average_pool(descriptors, branch: str = "time") -> VideoVector:
     """Mean of the descriptor set; output dimension equals the descriptor dimension."""
-    data = _as_descriptor_matrix(descriptors)
+    data = _descriptor_matrix(descriptors)
     return VideoVector(values=data.mean(axis=0), method="average", branch=branch)
 
 
@@ -107,7 +99,7 @@ def _nearest_words(distances: np.ndarray, k: int) -> np.ndarray:
 
 
 def _llc_codes(codebook: Codebook, params: LlcParams, data: np.ndarray) -> np.ndarray:
-    """Locality codes of every row of an N x d descriptor matrix, as an N x K matrix.
+    """Locality codes of every row of a checked N x d descriptor matrix, as an N x K matrix.
 
     Each descriptor is fit as an affine combination of its ``neighbors``
     nearest codewords: solve (C + lam*I) c = 1 on the local covariance
@@ -115,11 +107,6 @@ def _llc_codes(codebook: Codebook, params: LlcParams, data: np.ndarray) -> np.nd
     local systems are solved in one batched call. Non-neighbor entries stay
     zero; the matrix is dense because codes can be negative.
     """
-    if data.shape[1] != codebook.dims:
-        raise DataError(
-            f"dimension mismatch: descriptors have {data.shape[1]} dims, "
-            f"codebook has {codebook.dims}"
-        )
     k = params.neighbors
     if k > codebook.num_words:
         raise DataError(f"neighbors={k} exceeds codebook size {codebook.num_words}")
@@ -144,12 +131,7 @@ def llc_encode(codebook: Codebook, params: LlcParams, x) -> np.ndarray:
     at equal distance go to the lowest index) and the code sums to exactly 1.
     Non-neighbor entries stay zero.
     """
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.shape != (codebook.dims,):
-        raise DataError(
-            f"dimension mismatch: descriptor shape {vec.shape}, codebook dims {codebook.dims}"
-        )
-    return _llc_codes(codebook, params, vec[None, :])[0]
+    return _llc_codes(codebook, params, _descriptor_matrix([x], codebook.dims))[0]
 
 
 def llc_pool(codebook: Codebook, params: LlcParams, descriptors, branch: str = "time") -> VideoVector:
@@ -158,7 +140,7 @@ def llc_pool(codebook: Codebook, params: LlcParams, descriptors, branch: str = "
     All descriptors are coded in one batched pass, with the same neighbor
     selection and lowest-index tie-break as ``llc_encode``.
     """
-    data = _as_descriptor_matrix(descriptors)
+    data = _descriptor_matrix(descriptors, codebook.dims)
     pooled = _llc_codes(codebook, params, data).max(axis=0)
     return VideoVector(values=pooled, method="llc", branch=branch)
 
@@ -181,11 +163,7 @@ def fisher_encode(
     giving dimension 2dK. With ``normalize`` the output is signed-square-rooted
     and scaled to unit length, which bounds feature magnitudes for the SVM.
     """
-    data = _as_descriptor_matrix(descriptors)
-    if data.shape[1] != model.dims:
-        raise DataError(
-            f"dimension mismatch: descriptors have {data.shape[1]} dims, model has {model.dims}"
-        )
+    data = _descriptor_matrix(descriptors, model.dims)
     resp, _ = gmm_responsibilities(model, data)
     n = data.shape[0]
     sigma = np.sqrt(model.variances)
@@ -213,12 +191,7 @@ def vlad_encode(
     dimension is dK. ``normalize`` applies the same signed square root and
     unit-length scaling as the Fisher vector.
     """
-    data = _as_descriptor_matrix(descriptors)
-    if data.shape[1] != codebook.dims:
-        raise DataError(
-            f"dimension mismatch: descriptors have {data.shape[1]} dims, "
-            f"codebook has {codebook.dims}"
-        )
+    data = _descriptor_matrix(descriptors, codebook.dims)
     labels = _nearest_labels(data, codebook.centroids)
     residuals = _row_sums(data - codebook.centroids[labels], labels, codebook.num_words)
     values = residuals.ravel()

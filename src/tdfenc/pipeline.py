@@ -388,14 +388,12 @@ def _fit_branch_model(
     size = config.codebook_size(branch)
     offset = _TIME_FIT_SEED_OFFSET if branch == "time" else _DFT_FIT_SEED_OFFSET
     seed = config.seed + offset
-    if descriptors.shape[0] < size:
-        raise DataError(
-            f"{branch} branch: {descriptors.shape[0]} descriptors cannot support a "
-            f"codebook of {size} words"
-        )
-    if encoder == "fv":
-        return gmm_fit(descriptors, size, seed, config.gmm_max_iters, config.gmm_tol)
-    return kmeans_fit(descriptors, size, seed, config.kmeans_max_iters)
+    try:
+        if encoder == "fv":
+            return gmm_fit(descriptors, size, seed, config.gmm_max_iters, config.gmm_tol)
+        return kmeans_fit(descriptors, size, seed, config.kmeans_max_iters)
+    except DataError as exc:
+        raise DataError(f"{branch} branch: {exc}") from None
 
 
 def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: bool):
@@ -437,30 +435,28 @@ def _encode_descriptor_set(
     config: PipelineConfig, bundle: ModelBundle, branch: str, descriptors: np.ndarray
 ) -> VideoVector:
     encoder, model = getattr(config, f"{branch}_encoder"), getattr(bundle, f"{branch}_model")
-    if encoder == "average":
-        return average_pool(descriptors, branch=branch)
-    if model is None:
-        raise DataError(f"{branch} branch: no fitted model for encoder {encoder!r}")
-    if descriptors.shape[1] != model.dims:
-        raise DataError(
-            f"{branch} branch: descriptors have {descriptors.shape[1]} dims, "
-            f"fitted model expects {model.dims}"
-        )
-    if encoder == "llc":
-        params = LlcParams(neighbors=config.llc_neighbors, lam=config.llc_lambda)
-        return llc_pool(model, params, descriptors, branch=branch)
-    if encoder == "fv":
-        return fisher_encode(model, descriptors, branch=branch, normalize=config.signed_sqrt_l2)
-    return vlad_encode(model, descriptors, branch=branch, normalize=config.signed_sqrt_l2)
+    try:
+        if encoder == "average":
+            return average_pool(descriptors, branch=branch)
+        if model is None:
+            raise DataError(f"no fitted model for encoder {encoder!r}")
+        if encoder == "llc":
+            params = LlcParams(neighbors=config.llc_neighbors, lam=config.llc_lambda)
+            return llc_pool(model, params, descriptors, branch=branch)
+        if encoder == "fv":
+            return fisher_encode(model, descriptors, branch=branch, normalize=config.signed_sqrt_l2)
+        return vlad_encode(model, descriptors, branch=branch, normalize=config.signed_sqrt_l2)
+    except DataError as exc:
+        raise DataError(f"{branch} branch: {exc}") from None
 
 
 def _fuse_sets(config: PipelineConfig, bundle: ModelBundle, video_id: str, sets) -> VideoVector:
-    branches = [
-        (_encode_descriptor_set(config, bundle, branch, d), getattr(config, f"fusion_{branch}_norm"))
-        for branch, d in zip(("time", "dft"), sets) if d is not None
-    ]
+    """Encode each branch's descriptor set and fuse them; an error names the video."""
     try:
-        return fuse(branches)
+        return fuse([
+            (_encode_descriptor_set(config, bundle, b, d), getattr(config, f"fusion_{b}_norm"))
+            for b, d in zip(("time", "dft"), sets) if d is not None
+        ])
     except DataError as exc:
         raise DataError(f"{video_id}: {exc}") from None
 

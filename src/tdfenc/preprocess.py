@@ -106,9 +106,8 @@ def pca_fit(descriptors, output_dims: int) -> PcaModel:
     eigenvalues, eigenvectors = np.linalg.eigh(scatter)
     # eigh sorts ascending; keep the top output_dims in descending order
     components = np.ascontiguousarray(eigenvectors[:, ::-1][:, :output_dims].T)
-    for row in components:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
+    pick = components[np.arange(len(components)), np.argmax(np.abs(components), axis=1)]
+    components *= np.where(pick < 0, -1.0, 1.0)[:, None]
     explained = np.maximum(eigenvalues[::-1][:output_dims], 0.0) / (m - 1)
     return PcaModel(mean=mean, components=components, explained_variance=explained)
 

@@ -282,6 +282,43 @@ def _one_line_error(capsys) -> str:
     return err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_vector_of_other_dims_names_the_video(dataset, tmp_path, capsys, command):
+    # average pooling without PCA encodes a 3-dim video to 3 + 64 values, where
+    # the 8-dim videos have 8 + 64; encode accepts it, the classifier cannot
+    manifest_path, config_path = dataset
+    bundle_dir = tmp_path / "bundle"
+    assert main(["fit", "--config", str(config_path), "--manifest", str(manifest_path),
+                 "--out", str(bundle_dir)]) == 0
+    odd_path = tmp_path / "odd.tdfe"
+    values = np.random.default_rng(2).normal(size=(3, 40))
+    write_feature_sequence(FeatureSequence("odd_video", values), odd_path)
+    odd_manifest = tmp_path / "odd.tsv"
+    odd_manifest.write_text(f"odd_video\t{odd_path}\t0\n", encoding="utf-8")
+    for split, manifest in (("train", bundle_dir / "train.tsv"), ("odd", odd_manifest)):
+        assert main(["encode", "--config", str(config_path), "--bundle", str(bundle_dir),
+                     "--manifest", str(manifest), "--out", str(tmp_path / f"enc_{split}")]) == 0
+    model_path = tmp_path / "model.tdfm"
+    train_index = tmp_path / "enc_train" / "index.tsv"
+    assert main(["train", "--config", str(config_path), "--vectors", str(train_index),
+                 "--out", str(model_path)]) == 0
+    # index paths are relative to the index, so the mixed one sits beside it
+    mixed = tmp_path / "enc_train" / "mixed.tsv"
+    mixed.write_text(
+        train_index.read_text(encoding="utf-8")
+        + f"odd_video\t{tmp_path / 'enc_odd' / 'odd_video.tdfv'}\t1\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--config", str(config_path), "--vectors", str(mixed),
+                "--out", str(tmp_path / "other.tdfm")]
+    else:
+        argv = [command, "--model", str(model_path), "--vectors", str(mixed)]
+    assert main(argv) == 2
+    assert "odd_video: vector has 67 dims, expected 72" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [

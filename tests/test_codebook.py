@@ -6,16 +6,21 @@ import pytest
 from tdfenc import (
     Codebook,
     GmmModel,
+    LlcParams,
     assign_nearest,
+    average_pool,
     fisher_encode,
     gmm_fit,
     gmm_posteriors,
     gmm_responsibilities,
     kmeans_fit,
+    llc_encode,
+    llc_pool,
     load_codebook,
     load_gmm_model,
     save_codebook,
     save_gmm_model,
+    vlad_encode,
 )
 from tdfenc import binio
 from tdfenc.codebook import (
@@ -376,3 +381,68 @@ def test_gmm_roundtrip_byte_identical(tmp_path):
     np.testing.assert_array_equal(back.weights, model.weights)
     np.testing.assert_array_equal(back.means, model.means)
     np.testing.assert_array_equal(back.variances, model.variances)
+
+
+# Every function that takes descriptors checks them by one rule. Each caller
+# is (call, takes a model, takes one descriptor instead of a matrix).
+_CODEBOOK = Codebook(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+_GMM = GmmModel(
+    weights=np.array([0.5, 0.5]),
+    means=np.array([[0.0, 0.0], [1.0, 1.0]]),
+    variances=np.ones((2, 2)),
+)
+_DESCRIPTOR_CALLERS = {
+    "kmeans_fit": (lambda x: kmeans_fit(x, 2, seed=0), False, False),
+    "gmm_fit": (lambda x: gmm_fit(x, 2, seed=0), False, False),
+    "gmm_responsibilities": (lambda x: gmm_responsibilities(_GMM, x), True, False),
+    "average_pool": (average_pool, False, False),
+    "llc_pool": (lambda x: llc_pool(_CODEBOOK, LlcParams(neighbors=2), x), True, False),
+    "fisher_encode": (lambda x: fisher_encode(_GMM, x), True, False),
+    "vlad_encode": (lambda x: vlad_encode(_CODEBOOK, x), True, False),
+    "assign_nearest": (lambda x: assign_nearest(_CODEBOOK, x), True, True),
+    "gmm_posteriors": (lambda x: gmm_posteriors(_GMM, x), True, True),
+    "llc_encode": (lambda x: llc_encode(_CODEBOOK, LlcParams(neighbors=2), x), True, True),
+}
+
+
+def _with_value(value):
+    def make(good):
+        bad = good.copy()
+        bad.flat[1] = value
+        return bad
+
+    return make
+
+
+# case: (bad input made from a good one, the message that rejects it)
+_DESCRIPTOR_CASES = {
+    "ndim": (lambda good: good[None], "non-empty N x d matrix"),
+    "no-rows": (lambda good: good[:0], "non-empty N x d matrix"),
+    "dims": (
+        lambda good: np.concatenate([good, good[..., :1]], axis=-1),
+        "dimension mismatch: descriptors have 3 dims, model expects 2",
+    ),
+    "nan": (_with_value(np.nan), "descriptors contain non-finite values"),
+    "inf": (_with_value(np.inf), "descriptors contain non-finite values"),
+    "-inf": (_with_value(-np.inf), "descriptors contain non-finite values"),
+}
+
+
+@pytest.mark.parametrize(
+    "caller,case",
+    [
+        (caller, case)
+        for caller, (_, takes_model, _) in _DESCRIPTOR_CALLERS.items()
+        for case in _DESCRIPTOR_CASES
+        if takes_model or case != "dims"
+    ],
+)
+def test_descriptor_callers_share_one_check(caller, case):
+    call, _, one_row = _DESCRIPTOR_CALLERS[caller]
+    good = np.array([[0.2, 0.1], [0.9, 0.3], [0.1, 0.8], [0.7, 0.6]])
+    if one_row:
+        good = good[0]
+    call(good)
+    make_bad, message = _DESCRIPTOR_CASES[case]
+    with pytest.raises(DataError, match=message):
+        call(make_bad(good))

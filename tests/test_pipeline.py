@@ -25,6 +25,7 @@ from tdfenc import (
     write_feature_sequence,
 )
 from tdfenc.errors import ConfigError, DataError
+from tdfenc.codebook import Codebook
 from tdfenc.pipeline import ModelBundle
 from tdfenc.svm import LinearSvmModel
 
@@ -343,6 +344,15 @@ class TestEncodeVideo:
         with pytest.raises(DataError, match="silent_07: time branch: cannot scale zero vector"):
             encode_video(config, ModelBundle(), seq)
 
+    def test_branch_model_of_other_dims_names_video_and_branch(self):
+        seq = FeatureSequence("clip_03", np.random.default_rng(4).normal(size=(3, 30)))
+        config = PipelineConfig(spectrum_length=16, dft_encoder="vlad", dft_codebook_size=2)
+        bundle = ModelBundle(dft_model=Codebook(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        with pytest.raises(
+            DataError, match="^clip_03: dft branch: dimension mismatch: descriptors have 16 dims"
+        ):
+            encode_video(config, bundle, seq)
+
 class TestFitModels:
     def test_no_pca_requested_no_pca_fitted(self, tmp_path):
         manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
@@ -370,11 +380,13 @@ class TestFitModels:
 
     def test_insufficient_descriptors_rejected(self, tmp_path):
         manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
-        config = PipelineConfig(
-            spectrum_length=16, dft_encoder="vlad", dft_codebook_size=4096, seed=0
-        )
-        with pytest.raises(DataError, match="descriptors"):
-            fit_models(config, manifest)
+        for branch, encoder in (("dft", "vlad"), ("time", "vlad"), ("time", "fv")):
+            config = PipelineConfig(
+                spectrum_length=16, seed=0,
+                **{f"{branch}_encoder": encoder, f"{branch}_codebook_size": 4096},
+            )
+            with pytest.raises(DataError, match=f"^{branch} branch: .*4096"):
+                fit_models(config, manifest)
 
     def test_pca_is_pca_fit_on_every_normalized_training_frame(self, tmp_path):
         manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
