@@ -17,6 +17,8 @@ videos and CLI ``encode``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -55,15 +57,53 @@ from .preprocess import (
 from .spectral import spectrum_of_sequence
 from .svm import LinearSvmModel, predict, train_linear_svm
 
-ENCODERS = ("average", "llc", "fv", "vlad")
+# how one class of branch model is fitted (config, descriptors, size, seed),
+# saved (model, path) and loaded (path); its bundle file is "{branch}_{file}"
+_ModelKind = namedtuple("_ModelKind", "file fit save load")
+# the model class an encoder pools over (None: nothing fitted), its default
+# codebook/mixture size, and its pooling call (config, model, descriptors, branch)
+_Encoder = namedtuple("_Encoder", "model default_size pool")
+# The lambdas look each layer function up when called, so a function replaced
+# on this module (by a test or a tracer) is the one that runs.
+_MODEL_KINDS = {
+    Codebook: _ModelKind(
+        "codebook.tdfc",
+        lambda c, d, size, seed: kmeans_fit(d, size, seed, c.kmeans_max_iters),
+        lambda model, path: save_codebook(model, path),
+        lambda path: load_codebook(path),
+    ),
+    GmmModel: _ModelKind(
+        "gmm.tdfg",
+        lambda c, d, size, seed: gmm_fit(d, size, seed, c.gmm_max_iters, c.gmm_tol),
+        lambda model, path: save_gmm_model(model, path),
+        lambda path: load_gmm_model(path),
+    ),
+}
+_ENCODERS = {
+    "average": _Encoder(None, None, lambda c, m, d, b: average_pool(d, branch=b)),
+    "llc": _Encoder(Codebook, 1024, lambda c, m, d, b: llc_pool(
+        m, LlcParams(neighbors=c.llc_neighbors, lam=c.llc_lambda), d, branch=b)),
+    "fv": _Encoder(GmmModel, 16, lambda c, m, d, b: fisher_encode(
+        m, d, branch=b, normalize=c.signed_sqrt_l2)),
+    "vlad": _Encoder(Codebook, 16, lambda c, m, d, b: vlad_encode(
+        m, d, branch=b, normalize=c.signed_sqrt_l2)),
+}
+ENCODERS = tuple(_ENCODERS)
 POOL_AXES = ("dimension", "frequency")
-
-# default codebook sizes when a size is not given explicitly
-DEFAULT_CODEBOOK_SIZES = {"llc": 1024, "fv": 16, "vlad": 16}
+_BRANCHES = ("time", "dft")
+_PCA_FILE = "pca.tdfp"
 
 # seed offsets so per-branch fits draw independent streams from one config seed
-_TIME_FIT_SEED_OFFSET = 11
-_DFT_FIT_SEED_OFFSET = 12
+_FIT_SEED_OFFSETS = {"time": 11, "dft": 12}
+
+
+@contextmanager
+def _naming(prefix: str):
+    """Prefix the message of a DataError raised in the block, e.g. with a video id."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{prefix}: {exc}") from None
 
 
 def _check_finite(config) -> None:
@@ -140,11 +180,9 @@ class PipelineConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def codebook_size(self, branch: str) -> int:
-        encoder = self.time_encoder if branch == "time" else self.dft_encoder
-        explicit = self.time_codebook_size if branch == "time" else self.dft_codebook_size
-        if explicit is not None:
-            return explicit
-        return DEFAULT_CODEBOOK_SIZES[encoder]
+        explicit = getattr(self, f"{branch}_codebook_size")
+        encoder = _ENCODERS[getattr(self, f"{branch}_encoder")]
+        return encoder.default_size if explicit is None else explicit
 
     @classmethod
     def emotion_defaults(cls, **overrides) -> "PipelineConfig":
@@ -162,14 +200,20 @@ class PipelineConfig:
         base = cls(pca_dims=None, spectrum_length=200, fusion_time_norm=1.0,
                    fusion_dft_norm=1.0, svm_c=1.0)
         config = replace(base, **overrides)
-        sizes = {}
-        for field_name, encoder in (
-            ("time_codebook_size", config.time_encoder),
-            ("dft_codebook_size", config.dft_encoder),
-        ):
-            if getattr(config, field_name) is None and encoder in ("fv", "vlad"):
-                sizes[field_name] = 32
+        sizes = {
+            f"{b}_codebook_size": 32 for b in _BRANCHES
+            if getattr(config, f"{b}_codebook_size") is None
+            and getattr(config, f"{b}_encoder") in ("fv", "vlad")
+        }
         return replace(config, **sizes) if sizes else config
+
+
+def _branch_models(config: PipelineConfig) -> dict[str, type | None]:
+    """The model class each enabled branch pools over; None for average pooling."""
+    return {
+        b: _ENCODERS[getattr(config, f"{b}_encoder")].model
+        for b in _BRANCHES if getattr(config, f"{b}_branch_enabled")
+    }
 
 
 _CONFIG_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -232,17 +276,14 @@ def parse_pipeline_config(path) -> PipelineConfig:
     """
     values = _read_key_value_file(path, _CONFIG_PARSERS, "config")
     config = PipelineConfig(**values)
-    uses_llc = (config.time_branch_enabled and config.time_encoder == "llc") or (
-        config.dft_branch_enabled and config.dft_encoder == "llc"
-    )
+    models = _branch_models(config)
+    uses_llc = any(getattr(config, f"{b}_encoder") == "llc" for b in models)
     for key in ("llc_neighbors", "llc_lambda"):
         if key in values and not uses_llc:
             raise ConfigError(f"{path}: {key} given but no enabled branch uses the llc encoder")
-    for key, branch, encoder, enabled in (
-        ("time_codebook_size", "time", config.time_encoder, config.time_branch_enabled),
-        ("dft_codebook_size", "dft", config.dft_encoder, config.dft_branch_enabled),
-    ):
-        if key in values and (encoder == "average" or not enabled):
+    for branch in _BRANCHES:
+        key = f"{branch}_codebook_size"
+        if key in values and models.get(branch) is None:
             raise ConfigError(
                 f"{path}: {key} given but the {branch} branch does not use a codebook"
             )
@@ -350,68 +391,63 @@ def _read_frames(manifest: DatasetManifest, dims: int | None = None):
         yield e, seq
 
 
-def _descriptor_sets(
-    config: PipelineConfig, pca: PcaModel | None, video_id: str, frames: np.ndarray,
-    time: bool, dft: bool,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(time, spectrum) descriptor sets of normalized frames (one per row); None
-    for a branch not asked for."""
-    if config.pca_dims is not None and (time or dft):
-        if pca is None:
+def _check_bundle(config: PipelineConfig, bundle: ModelBundle) -> None:
+    """Raise DataError unless the bundle holds each fitted model the config uses:
+    a PCA of ``pca_dims`` outputs if PCA is on, and for each enabled branch the
+    class of model its encoder pools over."""
+    if config.pca_dims is not None:
+        if bundle.pca is None:
             raise DataError("pca stage: config requests PCA but the bundle has no PCA model")
-        if pca.input_dims != frames.shape[1]:
+        if bundle.pca.output_dims != config.pca_dims:
             raise DataError(
-                f"pca stage: sequence has {frames.shape[1]} dims, PCA expects {pca.input_dims}"
-            )
-        if pca.output_dims != config.pca_dims:
-            raise DataError(
-                f"pca stage: bundle was fitted at pca_dims={pca.output_dims}, "
+                f"pca stage: bundle was fitted at pca_dims={bundle.pca.output_dims}, "
                 f"config requests {config.pca_dims}"
             )
-        frames = pca_transform(pca, frames)
-    spectrum = None
-    if dft:
-        seq = FeatureSequence(video_id, frames.T)
-        spectrum = spectrum_of_sequence(seq, config.spectrum_length).values
-        if config.dft_pool_axis == "frequency":
-            spectrum = spectrum.T
-    return (frames if time else None), spectrum
+    for branch, cls in _branch_models(config).items():
+        model = getattr(bundle, f"{branch}_model")
+        if cls is not None and not isinstance(model, cls):
+            found = "none" if model is None else f"a {type(model).__name__}"
+            raise DataError(
+                f"{branch} branch: encoder {getattr(config, f'{branch}_encoder')!r} needs a "
+                f"{cls.__name__}, the bundle has {found}"
+            )
 
 
-def _fit_branch_model(
-    config: PipelineConfig, branch: str, parts: list[np.ndarray]
-) -> Codebook | GmmModel | None:
-    encoder = getattr(config, f"{branch}_encoder")
-    if encoder == "average":
-        return None
-    descriptors = np.vstack(parts)
-    size = config.codebook_size(branch)
-    offset = _TIME_FIT_SEED_OFFSET if branch == "time" else _DFT_FIT_SEED_OFFSET
-    seed = config.seed + offset
-    try:
-        if encoder == "fv":
-            return gmm_fit(descriptors, size, seed, config.gmm_max_iters, config.gmm_tol)
-        return kmeans_fit(descriptors, size, seed, config.kmeans_max_iters)
-    except DataError as exc:
-        raise DataError(f"{branch} branch: {exc}") from None
+def _descriptor_sets(
+    config: PipelineConfig, pca: PcaModel | None, video_id: str, frames: np.ndarray, branches
+) -> dict[str, np.ndarray]:
+    """Descriptor set (one descriptor per row) of each named branch, from a
+    video's normalized frames."""
+    if config.pca_dims is not None and branches:
+        with _naming("pca stage"):
+            frames = pca_transform(pca, frames)
+    sets = {"time": frames} if "time" in branches else {}
+    if "dft" in branches:
+        spectrum = spectrum_of_sequence(FeatureSequence(video_id, frames.T), config.spectrum_length)
+        sets["dft"] = spectrum.values.T if config.dft_pool_axis == "frequency" else spectrum.values
+    return sets
 
 
-def _fit(config: PipelineConfig, manifest: DatasetManifest, time: bool, dft: bool):
-    """Fit the bundle on one read of each video; also return the videos' dims and
-    (entry, descriptor sets) per video for the branches asked for.
-
-    Each video's frames are unit-normalized with ``l2_normalize``. ``pca_fit``
-    gets every training frame, as one row block per video, and is never handed
-    a stacked frame matrix.
-    """
+def _fit(config: PipelineConfig, manifest: DatasetManifest, branches: dict):
+    """Fit the bundle (see ``fit_models``) on one read of each video; also
+    return the videos' dims and (entry, descriptor sets) per video for the
+    branches named in ``branches``, a map from branch to its model class."""
     videos = [(e, l2_normalize(seq.values.T)) for e, seq in _read_frames(manifest)]
     pca = None
     if config.pca_dims is not None:
-        pca = pca_fit([frames for _, frames in videos], config.pca_dims)
-    sets = [(e, _descriptor_sets(config, pca, e.video_id, f, time, dft)) for e, f in videos]
-    time_model = _fit_branch_model(config, "time", [t for _, (t, _) in sets]) if time else None
-    dft_model = _fit_branch_model(config, "dft", [d for _, (_, d) in sets]) if dft else None
-    return ModelBundle(pca, time_model, dft_model), videos[0][1].shape[1], sets
+        with _naming("pca stage"):
+            pca = pca_fit([frames for _, frames in videos], config.pca_dims)
+    sets = [(e, _descriptor_sets(config, pca, e.video_id, f, branches)) for e, f in videos]
+    models = {}
+    for branch, cls in branches.items():
+        if cls is not None:
+            descriptors = np.vstack([s[branch] for _, s in sets])
+            seed = config.seed + _FIT_SEED_OFFSETS[branch]
+            with _naming(f"{branch} branch"):
+                models[f"{branch}_model"] = _MODEL_KINDS[cls].fit(
+                    config, descriptors, config.codebook_size(branch), seed
+                )
+    return ModelBundle(pca, **models), videos[0][1].shape[1], sets
 
 
 def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle:
@@ -424,54 +460,38 @@ def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle
     codebook needs it; the descriptor sets are computed only for branches with
     a codebook and are dropped on return.
     """
-    time = config.time_branch_enabled and config.time_encoder != "average"
-    dft = config.dft_branch_enabled and config.dft_encoder != "average"
-    if config.pca_dims is None and not (time or dft):
+    branches = {b: cls for b, cls in _branch_models(config).items() if cls is not None}
+    if config.pca_dims is None and not branches:
         return ModelBundle()
-    return _fit(config, manifest, time, dft)[0]
-
-
-def _encode_descriptor_set(
-    config: PipelineConfig, bundle: ModelBundle, branch: str, descriptors: np.ndarray
-) -> VideoVector:
-    encoder, model = getattr(config, f"{branch}_encoder"), getattr(bundle, f"{branch}_model")
-    try:
-        if encoder == "average":
-            return average_pool(descriptors, branch=branch)
-        if model is None:
-            raise DataError(f"no fitted model for encoder {encoder!r}")
-        if encoder == "llc":
-            params = LlcParams(neighbors=config.llc_neighbors, lam=config.llc_lambda)
-            return llc_pool(model, params, descriptors, branch=branch)
-        if encoder == "fv":
-            return fisher_encode(model, descriptors, branch=branch, normalize=config.signed_sqrt_l2)
-        return vlad_encode(model, descriptors, branch=branch, normalize=config.signed_sqrt_l2)
-    except DataError as exc:
-        raise DataError(f"{branch} branch: {exc}") from None
+    return _fit(config, manifest, branches)[0]
 
 
 def _fuse_sets(config: PipelineConfig, bundle: ModelBundle, video_id: str, sets) -> VideoVector:
-    """Encode each branch's descriptor set and fuse them; an error names the video."""
-    try:
-        return fuse([
-            (_encode_descriptor_set(config, bundle, b, d), getattr(config, f"fusion_{b}_norm"))
-            for b, d in zip(("time", "dft"), sets) if d is not None
-        ])
-    except DataError as exc:
-        raise DataError(f"{video_id}: {exc}") from None
+    """Pool each branch's descriptor set with its encoder and fuse the branch
+    vectors; an error names the video and the branch."""
+    parts = []
+    with _naming(video_id):
+        for branch, descriptors in sets.items():
+            with _naming(f"{branch} branch"):
+                vector = _ENCODERS[getattr(config, f"{branch}_encoder")].pool(
+                    config, getattr(bundle, f"{branch}_model"), descriptors, branch
+                )
+            parts.append((vector, getattr(config, f"fusion_{branch}_norm")))
+        return fuse(parts)
 
 
 def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequence) -> VideoVector:
     """Fused fixed-length representation of one video.
 
-    Frames are unit-normalized, optionally PCA-reduced, then each enabled
-    branch pools its descriptor set and the branch vectors are scaled to the
-    configured norms and concatenated.
+    The bundle is checked against the config first. Frames are unit-normalized,
+    optionally PCA-reduced, then each enabled branch pools its descriptor set
+    and the branch vectors are scaled to the configured norms and concatenated.
+    An error names the video.
     """
-    sets = _descriptor_sets(
-        config, bundle.pca, seq.video_id, l2_normalize(seq.values.T),
-        config.time_branch_enabled, config.dft_branch_enabled,
-    )
+    with _naming(seq.video_id):
+        _check_bundle(config, bundle)
+        frames = l2_normalize(seq.values.T)
+        sets = _descriptor_sets(config, bundle.pca, seq.video_id, frames, _branch_models(config))
     return _fuse_sets(config, bundle, seq.video_id, sets)
 
 
@@ -538,9 +558,7 @@ def run_repeated_experiment(
     reports = []
     for r in range(1, repetitions + 1):
         train_manifest, test_manifest = _repetition_split(config, manifest, r)
-        bundle, dims, train_sets = _fit(
-            config, train_manifest, config.time_branch_enabled, config.dft_branch_enabled
-        )
+        bundle, dims, train_sets = _fit(config, train_manifest, _branch_models(config))
         train_pairs = [(_fuse_sets(config, bundle, e.video_id, s), e.label) for e, s in train_sets]
         del train_sets  # pooled; kept neither through training nor into the next fit
         model = train_linear_svm(
@@ -557,56 +575,39 @@ def run_repeated_experiment(
     return ExperimentResult(reports=tuple(reports), mean_overall_accuracy=mean)
 
 
-# bundle files live under one directory; names are fixed per branch and kind
-_BUNDLE_FILES = {
-    ("time", "codebook"): "time_codebook.tdfc",
-    ("time", "gmm"): "time_gmm.tdfg",
-    ("dft", "codebook"): "dft_codebook.tdfc",
-    ("dft", "gmm"): "dft_gmm.tdfg",
-}
-
-
 def save_bundle(bundle: ModelBundle, out_dir) -> list[Path]:
     """Write every fitted model of the bundle into a directory; returns the paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if bundle.pca is not None:
-        path = out_dir / "pca.tdfp"
-        save_pca_model(bundle.pca, path)
-        written.append(path)
-    for branch, model in (("time", bundle.time_model), ("dft", bundle.dft_model)):
-        if model is None:
-            continue
-        if isinstance(model, GmmModel):
-            path = out_dir / _BUNDLE_FILES[(branch, "gmm")]
-            save_gmm_model(model, path)
-        else:
-            path = out_dir / _BUNDLE_FILES[(branch, "codebook")]
-            save_codebook(model, path)
-        written.append(path)
+        written.append(out_dir / _PCA_FILE)
+        save_pca_model(bundle.pca, written[-1])
+    for branch in _BRANCHES:
+        model = getattr(bundle, f"{branch}_model")
+        if model is not None:
+            kind = _MODEL_KINDS[type(model)]
+            written.append(out_dir / f"{branch}_{kind.file}")
+            kind.save(model, written[-1])
     return written
 
 
 def load_bundle(config: PipelineConfig, bundle_dir) -> ModelBundle:
-    """Load the fitted models the configuration requires from a bundle directory."""
+    """Load the fitted models the configuration requires from a bundle
+    directory, and check them against the config."""
     bundle_dir = Path(bundle_dir)
-    pca = None
-    if config.pca_dims is not None:
-        path = bundle_dir / "pca.tdfp"
-        if not path.exists():
-            raise DataError(f"pca stage: bundle {bundle_dir} has no PCA model")
-        pca = load_pca_model(path)
-    models: dict[str, Codebook | GmmModel | None] = {"time": None, "dft": None}
-    for branch, encoder, enabled in (
-        ("time", config.time_encoder, config.time_branch_enabled),
-        ("dft", config.dft_encoder, config.dft_branch_enabled),
-    ):
-        if not enabled or encoder == "average":
-            continue
-        kind = "gmm" if encoder == "fv" else "codebook"
-        path = bundle_dir / _BUNDLE_FILES[(branch, kind)]
-        if not path.exists():
-            raise DataError(f"{branch} branch: bundle {bundle_dir} is missing {path.name}")
-        models[branch] = load_gmm_model(path) if kind == "gmm" else load_codebook(path)
-    return ModelBundle(pca=pca, time_model=models["time"], dft_model=models["dft"])
+    if not bundle_dir.is_dir():
+        raise DataError(f"bundle directory not found: {bundle_dir}")
+
+    def load(name: str, loader):
+        path = bundle_dir / name
+        return loader(path) if path.exists() else None
+
+    pca = load(_PCA_FILE, load_pca_model) if config.pca_dims is not None else None
+    models = {
+        f"{branch}_model": load(f"{branch}_{_MODEL_KINDS[cls].file}", _MODEL_KINDS[cls].load)
+        for branch, cls in _branch_models(config).items() if cls is not None
+    }
+    bundle = ModelBundle(pca, **models)
+    _check_bundle(config, bundle)
+    return bundle

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,7 +63,10 @@ def l2_normalize(v) -> np.ndarray:
     vec = np.asarray(v, dtype=np.float64, order="C")
     if not np.all(np.isfinite(vec)):
         raise DataError("cannot normalize a non-finite vector")
-    norms = np.linalg.norm(vec, axis=-1, keepdims=True) if vec.ndim else np.abs(vec)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vec, axis=-1, keepdims=True) if vec.ndim else np.abs(vec)
+    if np.isinf(norms).any():
+        raise DataError("cannot normalize a vector whose norm overflows float64")
     return vec / np.where(norms == 0.0, 1.0, norms)
 
 
@@ -74,10 +76,9 @@ def pca_fit(descriptors, output_dims: int) -> PcaModel:
     ``descriptors`` is one M x D array-like or a list of 2-D row blocks that
     are fitted as if stacked. One pass sums the rows for the mean; a second
     accumulates the centered D x D scatter block by block, so no stacked
-    matrix is formed. ``output_dims`` is clipped to min(D, M-1) with a warning
-    when it exceeds the attainable rank. Component signs are fixed so the
-    largest-magnitude entry of each component is positive, making fits
-    reproducible.
+    matrix is formed. ``output_dims`` above the attainable rank min(D, M-1)
+    raises DataError. Component signs are fixed so the largest-magnitude
+    entry of each component is positive, making fits reproducible.
     """
     if isinstance(descriptors, (list, tuple)) and descriptors and np.ndim(descriptors[0]) == 2:
         blocks = [np.asarray(b, dtype=np.float64) for b in descriptors]
@@ -93,11 +94,7 @@ def pca_fit(descriptors, output_dims: int) -> PcaModel:
     d_in = blocks[0].shape[1]
     limit = min(d_in, m - 1)
     if output_dims > limit:
-        warnings.warn(
-            f"requested {output_dims} components exceeds attainable rank {limit}; clipping",
-            stacklevel=2,
-        )
-        output_dims = limit
+        raise DataError(f"requested {output_dims} components exceeds attainable rank {limit}")
     mean = sum(b.sum(axis=0) for b in blocks) / m
     scatter = np.zeros((d_in, d_in))
     for b in blocks:

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from tdfenc import FeatureSequence, read_feature_sequence, read_manifest, write_feature_sequence
+from tdfenc import (
+    FeatureSequence,
+    load_bundle,
+    parse_pipeline_config,
+    read_feature_sequence,
+    read_manifest,
+    write_feature_sequence,
+)
 from tdfenc.cli import main
 from tdfenc.encode import load_video_vector
+from tdfenc.errors import DataError
 
 SYNTH_SPEC = (
     "num_classes=2\n"
@@ -198,6 +206,19 @@ def test_encode_with_mismatched_pca_dims_exits_2(dataset, tmp_path, capsys):
                  "--manifest", str(bundle_dir / "test.tsv"), "--out", str(tmp_path / "enc")])
     assert code == 2
     assert "pca stage" in capsys.readouterr().err
+    message = "^pca stage: bundle was fitted at pca_dims=4, config requests 2$"
+    with pytest.raises(DataError, match=message):
+        load_bundle(parse_pipeline_config(config_pca2), bundle_dir)
+
+
+def test_encode_with_missing_bundle_directory_exits_2(dataset, tmp_path, capsys):
+    manifest_path, config_path = dataset
+    capsys.readouterr()
+    code = main(["encode", "--config", str(config_path), "--bundle", str(tmp_path / "nonexistent"),
+                 "--manifest", str(manifest_path), "--out", str(tmp_path / "enc")])
+    assert code == 2
+    assert "bundle directory not found" in _one_line_error(capsys)
+    assert not (tmp_path / "enc").exists()
 
 
 def test_encoded_vectors_load_back(dataset, tmp_path, capsys):

@@ -25,7 +25,7 @@ from tdfenc import (
     write_feature_sequence,
 )
 from tdfenc.errors import ConfigError, DataError
-from tdfenc.codebook import Codebook
+from tdfenc.codebook import Codebook, GmmModel
 from tdfenc.pipeline import ModelBundle
 from tdfenc.svm import LinearSvmModel
 
@@ -330,6 +330,29 @@ class TestEncodeVideo:
         with pytest.raises(DataError, match="pca stage"):
             encode_video(other, bundle, seq)
 
+    def test_pca_input_dims_mismatch_names_the_video(self, tmp_path):
+        manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+        config = PipelineConfig(pca_dims=3, spectrum_length=16, seed=0)
+        bundle = fit_models(config, manifest)
+        seq = FeatureSequence("clip_02", np.random.default_rng(5).normal(size=(5, 30)))
+        message = "^clip_02: pca stage: dimension mismatch: input has 5 dims, PCA expects 4$"
+        with pytest.raises(DataError, match=message):
+            encode_video(config, bundle, seq)
+
+    @pytest.mark.parametrize(
+        "encoder,model",
+        [
+            ("fv", Codebook(np.eye(3))),
+            ("vlad", GmmModel(np.full(3, 1 / 3), np.eye(3), np.ones((3, 3)))),
+            ("llc", GmmModel(np.full(3, 1 / 3), np.eye(3), np.ones((3, 3)))),
+        ],
+    )
+    def test_model_of_the_wrong_kind_names_video_and_branch(self, encoder, model):
+        seq = FeatureSequence("clip_01", np.random.default_rng(6).normal(size=(3, 30)))
+        config = PipelineConfig(time_encoder=encoder, time_codebook_size=3, spectrum_length=16)
+        with pytest.raises(DataError, match="^clip_01: time branch: encoder .* needs a"):
+            encode_video(config, ModelBundle(time_model=model), seq)
+
     def test_missing_branch_model_names_branch(self):
         rng = np.random.default_rng(2)
         seq = FeatureSequence("v", rng.normal(size=(3, 30)))
@@ -545,6 +568,12 @@ class TestRunRepeatedExperiment:
         result = run_repeated_experiment(config, manifest, 3)
         recomputed = sum(r.overall_accuracy for r in result.reports) / 3
         assert abs(result.mean_overall_accuracy - recomputed) < 1e-12
+
+    def test_pca_dims_above_the_attainable_rank_rejected(self, tmp_path):
+        manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+        config = PipelineConfig(pca_dims=5, spectrum_length=16, seed=3)
+        with pytest.raises(DataError, match="^pca stage: .* exceeds attainable rank 4$"):
+            run_repeated_experiment(config, manifest, 1)
 
     def test_zero_repetitions_rejected(self, tmp_path):
         manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")

@@ -51,6 +51,11 @@ class TestL2Normalize:
             np.testing.assert_allclose(out[i], l2_normalize(rows[i]), rtol=0, atol=1e-15)
             assert abs(np.linalg.norm(out[i]) - 1.0) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_row_whose_norm_overflows_rejected(self):
+        with pytest.raises(DataError, match="norm overflows float64"):
+            l2_normalize([[1.0, 2.0, 2.0], [1e200, 1e200, 0.0]])
+
     def test_non_finite_row_rejected(self):
         rows = np.ones((3, 4))
         rows[1, 2] = np.nan
@@ -106,12 +111,11 @@ class TestPcaFit:
         for row in a.components:
             assert row[np.argmax(np.abs(row))] > 0
 
-    def test_requested_dims_clipped_with_warning(self):
-        rng = np.random.default_rng(7)
-        data = rng.normal(size=(5, 10))
-        with pytest.warns(UserWarning, match="clipping"):
-            model = pca_fit(data, 9)
-        assert model.output_dims == 4  # min(D=10, M-1=4)
+    def test_requested_dims_above_rank_rejected(self):
+        data = np.random.default_rng(7).normal(size=(5, 10))
+        assert pca_fit(data, 4).output_dims == 4  # min(D=10, M-1=4)
+        with pytest.raises(DataError, match="^requested 5 components exceeds attainable rank 4$"):
+            pca_fit(data, 5)
 
     def test_too_few_samples(self):
         with pytest.raises(DataError):
