@@ -10,9 +10,7 @@ a one-vs-rest linear SVM classifies the fused vectors.
 from .codebook import (
     Codebook,
     GmmModel,
-    assign_nearest,
     gmm_fit,
-    gmm_posteriors,
     gmm_responsibilities,
     kmeans_fit,
     load_codebook,

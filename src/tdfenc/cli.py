@@ -87,13 +87,14 @@ def _cmd_run(args) -> int:
 def _cmd_fit(args) -> int:
     config = parse_pipeline_config(args.config)
     manifest = read_manifest(args.manifest)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # the first repetition's split, so staged runs mirror `run --repeat 1`
     train_manifest, test_manifest = _repetition_split(config, manifest, 1)
+    # fit before writing anything, so a failing fit leaves no bundle-like directory
+    bundle = fit_models(config, train_manifest)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(train_manifest, out_dir / "train.tsv")
     write_manifest(test_manifest, out_dir / "test.tsv")
-    bundle = fit_models(config, train_manifest)
     save_bundle(bundle, out_dir)
     print(out_dir)
     return EXIT_OK

@@ -254,11 +254,6 @@ def kmeans_fit(
     return Codebook(centroids=centroids)
 
 
-def assign_nearest(codebook: Codebook, x) -> int:
-    """Index of the nearest centroid; ties break toward the lowest index."""
-    return int(_nearest_labels(_descriptor_matrix([x], codebook.dims), codebook.centroids)[0])
-
-
 def _log_densities(model: GmmModel, data: np.ndarray) -> np.ndarray:
     """Per-sample, per-component log of weight times Gaussian density."""
     log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * model.variances), axis=1)
@@ -286,12 +281,6 @@ def gmm_responsibilities(model: GmmModel, descriptors) -> tuple[np.ndarray, floa
     log_total = peak[:, 0] + np.log(np.sum(np.exp(log_joint - peak), axis=1))
     resp = np.exp(log_joint - log_total[:, None])
     return resp, float(np.mean(log_total))
-
-
-def gmm_posteriors(model: GmmModel, x) -> np.ndarray:
-    """Posterior probability of each mixture component for one descriptor."""
-    resp, _ = gmm_responsibilities(model, _descriptor_matrix([x], model.dims))
-    return resp[0]
 
 
 def gmm_fit(
@@ -327,13 +316,14 @@ def gmm_fit(
         floor = 1e-12
     labels = _nearest_labels(data, codebook.centroids)
     resp = (labels[:, None] == np.arange(num_components)).astype(np.float64)
+    squared = data * data
     previous = None
     for _ in range(max_iters):
         mass = np.maximum(resp.sum(axis=0), 1e-300)
         weights = mass / m
         weights = weights / weights.sum()
         means = (resp.T @ data) / mass[:, None]
-        second = (resp.T @ (data * data)) / mass[:, None]
+        second = (resp.T @ squared) / mass[:, None]
         variances = np.maximum(second - means * means, floor)
         model = GmmModel(weights=weights, means=means, variances=variances)
         resp, avg_ll = gmm_responsibilities(model, data)

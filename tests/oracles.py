@@ -5,7 +5,8 @@ scalar per-point loop, LLC is an iterative constrained solver, Fisher vectors
 come from finite differences of an explicit log-likelihood, and the SVM bound
 comes from subgradient descent. The SVM reference trainer runs the same dual
 coordinate descent as the library on P-length primal rows, not on the Gram
-matrix.
+matrix, and the Fisher loop reference accumulates one GMM component at a time
+where the library builds all components in one batched pass.
 """
 
 import numpy as np
@@ -126,6 +127,33 @@ def fisher_finite_difference_oracle(model, data, h=1e-5):
             ) / (2 * h)
             v[ki, di] = stds[ki, di] / (n * np.sqrt(2.0 * model.weights[ki])) * grad
     return np.concatenate([u.ravel(), v.ravel()])
+
+
+def fisher_loop_reference(model, data, resp, normalize):
+    """Fisher vector accumulated one component at a time from given posteriors.
+
+    ``resp`` holds the N x K posteriors, so only the accumulation of the two
+    orders is compared. With ``normalize`` the vector is signed-square-rooted
+    and scaled to unit length.
+    """
+    n = data.shape[0]
+    sigma = np.sqrt(model.variances)
+    first = np.empty((model.num_components, model.dims))
+    second = np.empty_like(first)
+    for k in range(model.num_components):
+        standardized = (data - model.means[k]) / sigma[k]
+        weighted = resp[:, k][:, None]
+        first[k] = np.sum(weighted * standardized, axis=0) / (n * np.sqrt(model.weights[k]))
+        second[k] = np.sum(weighted * (standardized * standardized - 1.0), axis=0) / (
+            n * np.sqrt(2.0 * model.weights[k])
+        )
+    values = np.concatenate([first.ravel(), second.ravel()])
+    if normalize:
+        values = np.sign(values) * np.sqrt(np.abs(values))
+        norm = np.linalg.norm(values)
+        if norm > 0:
+            values = values / norm
+    return values
 
 
 def svm_subgradient_oracle(inputs, targets, penalty, steps=200000):

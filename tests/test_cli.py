@@ -297,6 +297,22 @@ def test_encode_failure_leaves_no_vectors(dataset, tmp_path, capsys):
     assert not (out_dir / "index.tsv").exists()
 
 
+def test_failed_fit_leaves_no_manifests(tmp_path, capsys):
+    spec_path = tmp_path / "synth.cfg"
+    spec_path.write_text(SYNTH_SPEC.replace("dims=8", "dims=4"), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 0
+    config_path = tmp_path / "pca9.cfg"
+    config_path.write_text(RUN_CONFIG + "pca_dims=9\n", encoding="utf-8")
+    capsys.readouterr()
+    bundle_dir = tmp_path / "bundle"
+    code = main(["fit", "--config", str(config_path),
+                 "--manifest", str(tmp_path / "data" / "manifest.tsv"), "--out", str(bundle_dir)])
+    assert code == 2
+    assert "exceeds attainable rank 4" in _one_line_error(capsys)
+    assert not (bundle_dir / "train.tsv").exists() and not (bundle_dir / "test.tsv").exists()
+    assert not bundle_dir.exists()
+
+
 def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -7,11 +7,9 @@ from tdfenc import (
     Codebook,
     GmmModel,
     LlcParams,
-    assign_nearest,
     average_pool,
     fisher_encode,
     gmm_fit,
-    gmm_posteriors,
     gmm_responsibilities,
     kmeans_fit,
     llc_encode,
@@ -166,28 +164,30 @@ class TestNearestLabels:
 
 
 class TestAssignNearest:
+    """Nearest-centroid assignment, the label step of K-means, GMM and VLAD."""
+
     def test_exact_centroid(self):
-        codebook = Codebook(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 3.0]]))
-        assert assign_nearest(codebook, np.array([2.0, 0.0])) == 2
+        centroids = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 3.0]])
+        points = centroids[[2, 0, 3, 1]]
+        np.testing.assert_array_equal(_nearest_labels(points, centroids), [2, 0, 3, 1])
 
     def test_tie_breaks_to_lowest_index(self):
-        codebook = Codebook(np.array([[-1.0], [1.0]]))
-        assert assign_nearest(codebook, np.array([0.0])) == 0
+        centroids = np.array([[-1.0], [1.0]])
+        np.testing.assert_array_equal(_nearest_labels(np.array([[0.0]]), centroids), [0])
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(1)
-        codebook = Codebook(rng.normal(size=(20, 5)))
-        for _ in range(50):
-            x = rng.normal(size=5)
-            expected = min(
-                range(20), key=lambda k: (np.linalg.norm(x - codebook.centroids[k]), k)
-            )
-            assert assign_nearest(codebook, x) == expected
+        centroids = rng.normal(size=(20, 5))
+        points = rng.normal(size=(50, 5))
+        expected = [
+            min(range(20), key=lambda k: (np.linalg.norm(x - centroids[k]), k)) for x in points
+        ]
+        np.testing.assert_array_equal(_nearest_labels(points, centroids), expected)
 
     def test_dimension_mismatch(self):
         codebook = Codebook(np.array([[0.0, 0.0]]))
-        with pytest.raises(DataError):
-            assign_nearest(codebook, np.zeros(3))
+        with pytest.raises(DataError, match="dimension mismatch"):
+            vlad_encode(codebook, np.zeros((1, 3)))
 
 
 class TestGmmFit:
@@ -287,11 +287,14 @@ class TestGmmFit:
 
 
 class TestGmmPosteriors:
+    """Posteriors of ``gmm_responsibilities``, one row per descriptor."""
+
     def test_single_component_is_one(self):
         model = GmmModel(
             weights=np.array([1.0]), means=np.array([[0.0, 0.0]]), variances=np.ones((1, 2))
         )
-        np.testing.assert_allclose(gmm_posteriors(model, np.array([5.0, -3.0])), [1.0])
+        resp, _ = gmm_responsibilities(model, np.array([[5.0, -3.0], [0.1, 0.2]]))
+        np.testing.assert_allclose(resp, [[1.0], [1.0]])
 
     def test_symmetric_midpoint(self):
         model = GmmModel(
@@ -299,7 +302,8 @@ class TestGmmPosteriors:
             means=np.array([[-1.0], [1.0]]),
             variances=np.ones((2, 1)),
         )
-        np.testing.assert_allclose(gmm_posteriors(model, np.array([0.0])), [0.5, 0.5], atol=1e-12)
+        resp, _ = gmm_responsibilities(model, np.array([0.0]))
+        np.testing.assert_allclose(resp, [[0.5, 0.5]], atol=1e-12)
 
     def test_simplex_property(self):
         rng = np.random.default_rng(4)
@@ -309,10 +313,9 @@ class TestGmmPosteriors:
             means=rng.normal(size=(5, 3)),
             variances=rng.uniform(0.5, 2.0, size=(5, 3)),
         )
-        for _ in range(30):
-            q = gmm_posteriors(model, rng.normal(size=3) * 3)
-            assert np.all(q >= 0)
-            assert q.sum() == pytest.approx(1.0, abs=1e-12)
+        resp, _ = gmm_responsibilities(model, rng.normal(size=(30, 3)) * 3)
+        assert np.all(resp >= 0)
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(5)
@@ -320,20 +323,34 @@ class TestGmmPosteriors:
         means = rng.normal(size=(4, 2))
         variances = rng.uniform(0.5, 2.0, size=(4, 2))
         model = GmmModel(weights=weights, means=means, variances=variances)
-        for _ in range(30):
-            x = rng.normal(size=2)
+        data = rng.normal(size=(30, 2))
+        resp, _ = gmm_responsibilities(model, data)
+        for x, q in zip(data, resp):
             dens = weights * np.prod(
                 np.exp(-0.5 * (x - means) ** 2 / variances) / np.sqrt(2 * np.pi * variances),
                 axis=1,
             )
-            np.testing.assert_allclose(gmm_posteriors(model, x), dens / dens.sum(), atol=1e-10)
+            np.testing.assert_allclose(q, dens / dens.sum(), atol=1e-10)
+
+    def test_one_descriptor_is_one_row(self):
+        rng = np.random.default_rng(6)
+        model = GmmModel(
+            weights=rng.dirichlet(np.ones(3)),
+            means=rng.normal(size=(3, 2)),
+            variances=rng.uniform(0.5, 2.0, size=(3, 2)),
+        )
+        x = rng.normal(size=2)
+        one, one_ll = gmm_responsibilities(model, x)
+        row, row_ll = gmm_responsibilities(model, x[None, :])
+        np.testing.assert_array_equal(one, row)
+        assert one.shape == (1, 3) and one_ll == row_ll
 
     def test_dimension_mismatch(self):
         model = GmmModel(
             weights=np.array([1.0]), means=np.array([[0.0]]), variances=np.array([[1.0]])
         )
-        with pytest.raises(DataError):
-            gmm_posteriors(model, np.zeros(2))
+        with pytest.raises(DataError, match="dimension mismatch"):
+            gmm_responsibilities(model, np.zeros(2))
 
 
 class TestValidation:
@@ -399,8 +416,6 @@ _DESCRIPTOR_CALLERS = {
     "llc_pool": (lambda x: llc_pool(_CODEBOOK, LlcParams(neighbors=2), x), True, False),
     "fisher_encode": (lambda x: fisher_encode(_GMM, x), True, False),
     "vlad_encode": (lambda x: vlad_encode(_CODEBOOK, x), True, False),
-    "assign_nearest": (lambda x: assign_nearest(_CODEBOOK, x), True, True),
-    "gmm_posteriors": (lambda x: gmm_posteriors(_GMM, x), True, True),
     "llc_encode": (lambda x: llc_encode(_CODEBOOK, LlcParams(neighbors=2), x), True, True),
 }
 

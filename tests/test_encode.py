@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,21 @@ from tdfenc import (
     average_pool,
     fisher_encode,
     fuse,
-    gmm_posteriors,
+    gmm_responsibilities,
     llc_encode,
     llc_pool,
     load_video_vector,
     save_video_vector,
     vlad_encode,
 )
-from tdfenc.encode import _nearest_words
+from tdfenc.encode import _FISHER_BLOCK_ELEMENTS, _nearest_words
 from tdfenc.errors import DataError
 
-from oracles import fisher_finite_difference_oracle, llc_projected_gradient_oracle
+from oracles import (
+    fisher_finite_difference_oracle,
+    fisher_loop_reference,
+    llc_projected_gradient_oracle,
+)
 
 
 def random_gmm(rng, k, d):
@@ -259,7 +265,7 @@ class TestFisher:
         model = random_gmm(rng, 3, 2)
         x = rng.normal(size=2)
         single = fisher_encode(model, x[None, :], normalize=False).values
-        q = gmm_posteriors(model, x)
+        q = gmm_responsibilities(model, x)[0][0]
         sigma = np.sqrt(model.variances)
         expected_u = np.stack(
             [
@@ -268,6 +274,70 @@ class TestFisher:
             ]
         ).ravel()
         np.testing.assert_allclose(single[: 3 * 2], expected_u, atol=1e-12)
+
+
+def _assert_matches_loop(model, data):
+    resp, _ = gmm_responsibilities(model, data)
+    for normalize in (False, True):
+        out = fisher_encode(model, data, normalize=normalize).values
+        reference = fisher_loop_reference(model, data, resp, normalize)
+        scale = np.max(np.abs(reference))
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12 * scale)
+
+
+class TestFisherAgainstLoop:
+    """The batched, row-blocked Fisher vector against the per-component loop."""
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            k = int(rng.integers(1, 9))
+            d = int(rng.integers(1, 17))
+            n = int(rng.integers(1, 81))
+            _assert_matches_loop(random_gmm(rng, k, d), rng.normal(size=(n, d)) * 2)
+
+    def test_means_far_from_zero(self):
+        # |mu|/sigma >= 50 on every component: the regime where expanding the
+        # second order into sums of x and x² would cancel
+        rng = np.random.default_rng(21)
+        k, d = 4, 6
+        model = GmmModel(
+            weights=rng.dirichlet(np.ones(k) * 5),
+            means=300.0 + rng.normal(size=(k, d)),
+            variances=rng.uniform(0.5, 2.0, size=(k, d)),
+        )
+        assert np.min(np.abs(model.means) / np.sqrt(model.variances)) >= 50
+        data = model.means[rng.integers(k, size=40)] + rng.normal(size=(40, d))
+        _assert_matches_loop(model, data)
+
+    def test_block_seams(self):
+        rng = np.random.default_rng(22)
+        k, d = 8, 64
+        rows = _FISHER_BLOCK_ELEMENTS // (k * d)
+        n = 3 * rows + rows // 3
+        assert n * k * d >= 3 * _FISHER_BLOCK_ELEMENTS and n % rows
+        _assert_matches_loop(random_gmm(rng, k, d), rng.normal(size=(n, d)))
+
+    def test_one_row_blocks(self, monkeypatch):
+        # K·d above the block size still takes one row per block
+        monkeypatch.setattr("tdfenc.encode._FISHER_BLOCK_ELEMENTS", 5)
+        rng = np.random.default_rng(23)
+        _assert_matches_loop(random_gmm(rng, 3, 4), rng.normal(size=(7, 4)))
+
+    def test_memory_stays_within_blocks(self):
+        # unblocked, each K x n x d temporary would take 256 MiB
+        rng = np.random.default_rng(24)
+        k, d, n = 64, 128, 4096
+        assert n * k * d * 8 >= 256 * 2**20
+        model = random_gmm(rng, k, d)
+        data = rng.normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            fisher_encode(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _FISHER_BLOCK_ELEMENTS * 8
 
 
 class TestVlad:
