@@ -32,28 +32,48 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def _nearest_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center for each row of ``points``; ties go to the lowest index.
+# an overflow shows up as a non-finite chosen score, which raises DataError below
+@np.errstate(over="ignore", invalid="ignore")
+def _nearest_labels(points: np.ndarray, centers: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Index of the nearest center for each row of ``points``, or with ``k`` each
+    row's ``k`` nearest centers as an N x k matrix; ties go to the lowest index.
 
+    This is the one nearest-center search of the package: K-means, the GMM
+    start and VLAD take one label per row, LLC its ``k`` nearest codewords.
     Centers are ranked by ``‖c‖² − 2·x·c``. That is ``‖x − c‖²`` minus
     ``‖x‖²``, which is the same for every center of a row, so dropping it (and
     the clamp at zero that only guards its cancellation) leaves each row's
     order unchanged. Multiplying by −2 only changes the sign and exponent, so
     ``block @ (−2·centersᵀ)`` equals ``−2·(x·c)`` bit for bit. Rows are
-    scored one block at a time into one reused buffer.
+    scored one block at a time into one reused buffer, so no N x K matrix is
+    allocated. The ``k`` nearest are taken by ``k`` successive row-wise
+    ``argmin``s, each masking its pick with +inf, which lists them in
+    (score, index) order: ``np.argsort(scores, kind="stable")[:, :k]``.
+    Raises ``DataError`` when a chosen score is not finite, that is, when
+    distances overflow float64 (a real +inf would collide with the mask).
     """
-    num_points = points.shape[0]
+    num_points, num_centers = points.shape[0], centers.shape[0]
     sq_centers = np.sum(centers * centers, axis=1)
     scaled = -2.0 * centers.T
-    labels = np.empty(num_points, dtype=np.intp)
-    buf = np.empty((min(num_points, _LABEL_BLOCK_ROWS), centers.shape[0]))
+    labels = np.empty((num_points, 1 if k is None else k), dtype=np.intp)
+    buf = np.empty((min(num_points, _LABEL_BLOCK_ROWS), num_centers))
+    # flat index in buf of each row's first score: one picked score per row is
+    # read and masked through np.take and np.put, which cost less than 2-D indexing
+    row_starts = np.arange(0, buf.size, num_centers)
     for start in range(0, num_points, _LABEL_BLOCK_ROWS):
         block = points[start : start + _LABEL_BLOCK_ROWS]
         scores = buf[: block.shape[0]]
         np.matmul(block, scaled, out=scores)
         scores += sq_centers
-        np.argmin(scores, axis=1, out=labels[start : start + block.shape[0]])
-    return labels
+        for j in range(labels.shape[1]):
+            picked = labels[start : start + block.shape[0], j]
+            np.argmin(scores, axis=1, out=picked)
+            chosen = row_starts[: block.shape[0]] + picked
+            if not np.isfinite(np.take(buf, chosen)).all():
+                raise DataError("descriptor distances overflow float64")
+            if j + 1 < labels.shape[1]:
+                np.put(buf, chosen, np.inf)
+    return labels[:, 0] if k is None else labels
 
 
 def _descriptor_matrix(descriptors, dims: int | None = None) -> np.ndarray:

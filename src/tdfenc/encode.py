@@ -21,7 +21,6 @@ from .codebook import (
     _descriptor_matrix,
     _nearest_labels,
     _row_sums,
-    _squared_distances,
     gmm_responsibilities,
 )
 from .errors import DataError, FormatError
@@ -75,8 +74,8 @@ class LlcParams:
     def __post_init__(self):
         if self.neighbors < 1:
             raise DataError(f"neighbors must be positive, got {self.neighbors}")
-        if self.lam < 0:
-            raise DataError(f"lam must be non-negative, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise DataError(f"lam must be finite and non-negative, got {self.lam}")
 
 
 def average_pool(descriptors, branch: str = "time") -> VideoVector:
@@ -85,68 +84,70 @@ def average_pool(descriptors, branch: str = "time") -> VideoVector:
     return VideoVector(values=data.mean(axis=0), method="average", branch=branch)
 
 
-def _nearest_words(distances: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k smallest distances as indices ordered by (distance, index).
+def _llc_codes(
+    codebook: Codebook, params: LlcParams, data: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Locality codes of every row of a checked N x d descriptor matrix.
 
-    Equal to ``np.argsort(distances, axis=1, kind="stable")[:, :k]``: a partial
-    selection, then a full stable sort only for rows where words tie at the
-    k-th distance, so ties still break toward the lowest index.
-    """
-    part = np.argpartition(distances, k - 1, axis=1)
-    kth = np.take_along_axis(distances, part[:, k - 1 : k], axis=1)
-    nearest = part[:, :k]
-    tied = np.count_nonzero(distances <= kth, axis=1) > k
-    if np.any(tied):
-        nearest[tied] = np.argsort(distances[tied], axis=1, kind="stable")[:, :k]
-    nearest = np.sort(nearest, axis=1)
-    order = np.argsort(np.take_along_axis(distances, nearest, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(nearest, order, axis=1)
-
-
-def _llc_codes(codebook: Codebook, params: LlcParams, data: np.ndarray) -> np.ndarray:
-    """Locality codes of every row of a checked N x d descriptor matrix, as an N x K matrix.
-
-    Each descriptor is fit as an affine combination of its ``neighbors``
-    nearest codewords: solve (C + lam*I) c = 1 on the local covariance
-    C = (B - x)(B - x)^T, then rescale so the code sums to exactly 1. All N
-    local systems are solved in one batched call. Non-neighbor entries stay
-    zero; the matrix is dense because codes can be negative.
+    Returns two N x k matrices: each row's ``neighbors`` nearest codewords in
+    (distance, index) order, from the nearest-center search that K-means and
+    VLAD use, and the code on each of them. Each descriptor is fit as an
+    affine combination of those codewords: solve (C + lam*I) c = 1 on the
+    local covariance C = (B - x)(B - x)^T, then rescale so the code sums to
+    exactly 1. All N local systems are solved in one batched call, and no
+    N x K matrix is formed. Raises ``DataError`` when distances overflow
+    float64 and when a local system is singular.
     """
     k = params.neighbors
     if k > codebook.num_words:
         raise DataError(f"neighbors={k} exceeds codebook size {codebook.num_words}")
-    nearest = _nearest_words(_squared_distances(data, codebook.centroids), k)
+    nearest = _nearest_labels(data, codebook.centroids, k)
     shifted = codebook.centroids[nearest] - data[:, None, :]
-    local_cov = shifted @ shifted.transpose(0, 2, 1)
+    with np.errstate(over="ignore"):
+        local_cov = shifted @ shifted.transpose(0, 2, 1)
     local_cov += params.lam * np.eye(k)
+    if not np.all(np.isfinite(local_cov)):
+        raise DataError("descriptor distances overflow float64")
     try:
         raw = np.linalg.solve(local_cov, np.ones((data.shape[0], k, 1)))[..., 0]
     except np.linalg.LinAlgError:
         raise DataError("singular LLC system; use a positive lam") from None
-    codes = np.zeros((data.shape[0], codebook.num_words))
-    np.put_along_axis(codes, nearest, raw / raw.sum(axis=1, keepdims=True), axis=1)
-    return codes
+    return nearest, raw / raw.sum(axis=1, keepdims=True)
 
 
 def llc_encode(codebook: Codebook, params: LlcParams, x) -> np.ndarray:
     """Sparse locality-constrained code of one descriptor over the codebook.
 
     Runs the same batched kernel as ``llc_pool`` on one row: the descriptor is
-    fit as an affine combination of its ``neighbors`` nearest codewords (ties
-    at equal distance go to the lowest index) and the code sums to exactly 1.
-    Non-neighbor entries stay zero.
+    fit as an affine combination of its ``neighbors`` nearest codewords, found
+    by the package's one nearest-center search (ties at equal distance go to
+    the lowest index), and the code sums to exactly 1. Non-neighbor entries
+    stay zero. Raises ``DataError`` when distances overflow float64.
     """
-    return _llc_codes(codebook, params, _descriptor_matrix([x], codebook.dims))[0]
+    nearest, codes = _llc_codes(codebook, params, _descriptor_matrix([x], codebook.dims))
+    code = np.zeros(codebook.num_words)
+    code[nearest[0]] = codes[0]
+    return code
 
 
 def llc_pool(codebook: Codebook, params: LlcParams, descriptors, branch: str = "time") -> VideoVector:
     """Elementwise maximum of the locality codes of every descriptor.
 
     All descriptors are coded in one batched pass, with the same neighbor
-    selection and lowest-index tie-break as ``llc_encode``.
+    search and lowest-index tie-break as ``llc_encode``. The maximum is taken
+    over the N x k codes, and a word that some descriptor does not use gets
+    at least that descriptor's zero, so the result equals the maximum of the
+    dense N x K codes without forming them; memory stays at O(block·K + N·k).
+    Each row is coded on its own and a maximum does not depend on the order it
+    is taken in, so pooling ignores descriptor order. Raises ``DataError`` when
+    distances overflow float64.
     """
     data = _descriptor_matrix(descriptors, codebook.dims)
-    pooled = _llc_codes(codebook, params, data).max(axis=0)
+    nearest, codes = _llc_codes(codebook, params, data)
+    pooled = np.full(codebook.num_words, -np.inf)
+    np.maximum.at(pooled, nearest, codes)
+    partly_used = np.bincount(nearest.ravel(), minlength=codebook.num_words) < data.shape[0]
+    np.maximum(pooled, 0.0, out=pooled, where=partly_used)
     return VideoVector(values=pooled, method="llc", branch=branch)
 
 

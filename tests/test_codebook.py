@@ -97,6 +97,7 @@ class TestKmeans:
             np.array([[1e200], [-1e200], [0.0]]),  # squared norms overflow
             np.array([[1.2e154], [-1.2e154], [0.0]]),  # norms fit, their sums do not
             np.tile([[1e153], [-1e153]], (100, 1)),  # distances fit, their total does not
+            np.array([[1e154], [0.0], [1.0]]),  # the k-means++ start fits, a Lloyd step does not
         ],
     )
     def test_overflowing_distances_raise_without_warnings(self, data):
@@ -161,6 +162,50 @@ class TestNearestLabels:
         expected = np.argmin(exact, axis=1)
         assert np.sum(exact[:9] == exact[:9].min(axis=1, keepdims=True)) == 36
         np.testing.assert_array_equal(_nearest_labels(points, grid), expected)
+
+    @pytest.mark.parametrize(
+        "num_points", [1, _LABEL_BLOCK_ROWS - 1, _LABEL_BLOCK_ROWS, _LABEL_BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("num_centers", [16, 256])
+    @pytest.mark.parametrize("k", [1, 2, 5, "all"])
+    def test_k_nearest_match_stable_argsort(self, num_points, num_centers, k):
+        k = num_centers if k == "all" else k
+        rng = np.random.default_rng(num_points * 1000 + num_centers + k)
+        points = rng.normal(size=(num_points, 8))
+        centers = rng.normal(size=(num_centers, 8))
+        expected = np.argsort(_squared_distances(points, centers), axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(_nearest_labels(points, centers, k), expected)
+        if k == 1:
+            np.testing.assert_array_equal(_nearest_labels(points, centers), expected[:, 0])
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 9, 16])
+    def test_k_nearest_ties_break_to_lowest_index(self, k):
+        # each half-integer point has 4 grid corners at one exact distance, the
+        # next ring of 8 at another, so ties straddle the k-th place
+        grid = np.array([[i, j] for i in range(4) for j in range(4)], dtype=np.float64)
+        points = np.array([[i + 0.5, j + 0.5] for i in range(3) for j in range(3)])
+        points = np.vstack([points, grid[::-1]])
+        exact = np.sum((points[:, None, :] - grid[None, :, :]) ** 2, axis=2)
+        expected = np.argsort(exact, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(_nearest_labels(points, grid, k), expected)
+
+    @pytest.mark.parametrize(
+        "points, centers, k",
+        [
+            # −2·x·c overflows to −inf, the lowest score
+            (np.array([[1e200]]), np.array([[1e120], [0.0]]), None),
+            # ‖c‖² overflows to +inf as well, so the score is NaN
+            (np.array([[1e200]]), np.array([[1e160], [0.0]]), None),
+            # ‖c‖² of the far center is +inf, which the +inf mask would mistake
+            # for an unpicked center and return center 0 twice
+            (np.array([[0.0, 0.0]]), np.array([[0.0, 1.0], [1e200, 0.0]]), 2),
+        ],
+    )
+    def test_overflowing_scores_raise_without_warnings(self, points, centers, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="descriptor distances overflow float64"):
+                _nearest_labels(points, centers, k)
 
 
 class TestAssignNearest:

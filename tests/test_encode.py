@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from tdfenc import (
     save_video_vector,
     vlad_encode,
 )
-from tdfenc.encode import _FISHER_BLOCK_ELEMENTS, _nearest_words
+from tdfenc.codebook import _LABEL_BLOCK_ROWS, _nearest_labels
+from tdfenc.encode import _FISHER_BLOCK_ELEMENTS
 from tdfenc.errors import DataError
 
 from oracles import (
@@ -94,6 +96,11 @@ class TestLlc:
         with pytest.raises(DataError):
             llc_encode(codebook, LlcParams(neighbors=3), np.array([0.5]))
 
+    @pytest.mark.parametrize("lam", [-1e-4, np.nan, np.inf])
+    def test_lam_must_be_finite_and_non_negative(self, lam):
+        with pytest.raises(DataError, match="lam must be finite and non-negative"):
+            LlcParams(lam=lam)
+
     def test_singular_system_without_ridge(self):
         # x equidistant between two codewords makes the local covariance
         # exactly singular; only a positive ridge keeps the solve well-posed
@@ -140,7 +147,7 @@ class TestLlc:
         exact = np.sum((data[:, None, :] - grid[None, :, :]) ** 2, axis=2)
         for k in (1, 2, 3, 4, 5, 6, 8, 25):
             reference = np.argsort(exact, axis=1, kind="stable")[:, :k]
-            np.testing.assert_array_equal(_nearest_words(exact, k), reference)
+            np.testing.assert_array_equal(_nearest_labels(data, grid, k), reference)
             params = LlcParams(neighbors=k)
             codes = np.stack([llc_encode(codebook, params, x) for x in data])
             for code, words in zip(codes, reference):
@@ -189,6 +196,24 @@ class TestLlc:
             llc_pool(codebook, LlcParams(neighbors=2), np.zeros((4, 3)))
         with pytest.raises(DataError, match="exceeds codebook size"):
             llc_pool(codebook, LlcParams(neighbors=4), np.zeros((4, 2)))
+
+    def test_pool_memory_stays_blocked(self):
+        # the dense N x K codes of this call would take 164 MB
+        rng = np.random.default_rng(25)
+        n, num_words, d, k = 20_000, 1024, 8, 5
+        codebook = Codebook(rng.normal(size=(num_words, d)))
+        data = rng.normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            llc_pool(codebook, LlcParams(neighbors=k), data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of scores, then per row its k labels, k x d shifted
+        # codewords, k x k local system, and the k-long right side, solution and code
+        bound = 8 * (_LABEL_BLOCK_ROWS * num_words + n * k * (d + k + 4))
+        assert bound <= 32 * 2**20 < n * num_words * 8
+        assert peak <= bound
 
 
 class TestFisher:
@@ -421,6 +446,86 @@ class TestFuse:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             fuse([])
+
+
+class TestDistanceOverflow:
+    """Distances that overflow float64 raise ``DataError``, never a warning or a vector."""
+
+    # descriptors at 1e200 against codewords at 1e120: x·c overflows, so the
+    # nearest-codeword scores are not finite
+    FAR_CODEBOOK = Codebook(np.random.default_rng(26).normal(size=(8, 4)) * 1e120)
+    # codewords at unit scale rank fine, but LLC's local covariance overflows
+    NEAR_CODEBOOK = Codebook(np.random.default_rng(27).normal(size=(8, 4)))
+    DATA = np.random.default_rng(28).normal(size=(20, 4)) * 1e200
+
+    def _raises(self, encode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="descriptor distances overflow float64"):
+                encode()
+
+    def test_vlad_encode(self):
+        self._raises(lambda: vlad_encode(self.FAR_CODEBOOK, self.DATA))
+
+    @pytest.mark.parametrize("codebook", [FAR_CODEBOOK, NEAR_CODEBOOK], ids=["far", "near"])
+    def test_llc_pool(self, codebook):
+        self._raises(lambda: llc_pool(codebook, LlcParams(), self.DATA))
+
+    @pytest.mark.parametrize("codebook", [FAR_CODEBOOK, NEAR_CODEBOOK], ids=["far", "near"])
+    def test_llc_encode(self, codebook):
+        self._raises(lambda: llc_encode(codebook, LlcParams(), self.DATA[0]))
+
+
+class TestDescriptorOrder:
+    """Pooling ignores descriptor order: a video's vector depends on its set of
+    frame (or spectrum) descriptors, not on the order they are listed in.
+
+    LLC max pooling is exact under any permutation. Average, VLAD and Fisher
+    pooling add in a different order, so they agree to rounding: within 1e-12
+    of the vector's largest entry.
+    """
+
+    N, D, K = 1200, 8, 32  # N spans three nearest-center blocks
+
+    @pytest.fixture
+    def sets(self):
+        rng = np.random.default_rng(29)
+        data = rng.normal(size=(self.N, self.D))
+        return rng, data, data[rng.permutation(self.N)]
+
+    @staticmethod
+    def _close(a, b):
+        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12 * np.abs(a.values).max())
+
+    def test_llc_pool_bit_identical(self, sets):
+        rng, data, shuffled = sets
+        codebook = Codebook(rng.normal(size=(self.K, self.D)))
+        params = LlcParams(neighbors=5)
+        np.testing.assert_array_equal(
+            llc_pool(codebook, params, shuffled).values, llc_pool(codebook, params, data).values
+        )
+
+    def test_average_pool(self, sets):
+        _, data, shuffled = sets
+        self._close(average_pool(data), average_pool(shuffled))
+
+    def test_vlad_encode(self, sets):
+        rng, data, shuffled = sets
+        codebook = Codebook(rng.normal(size=(self.K, self.D)))
+        for normalize in (False, True):
+            self._close(
+                vlad_encode(codebook, data, normalize=normalize),
+                vlad_encode(codebook, shuffled, normalize=normalize),
+            )
+
+    def test_fisher_encode(self, sets):
+        rng, data, shuffled = sets
+        model = random_gmm(rng, self.K, self.D)
+        for normalize in (False, True):
+            self._close(
+                fisher_encode(model, data, normalize=normalize),
+                fisher_encode(model, shuffled, normalize=normalize),
+            )
 
 
 def test_video_vector_roundtrip_byte_identical(tmp_path):
