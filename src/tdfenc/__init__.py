@@ -2,8 +2,8 @@
 
 Variable-length sequences of per-frame descriptors are fused from two views:
 time-domain pooling of the descriptors themselves, and pooling of their
-per-dimension DFT magnitude spectra resampled to a shared frequency axis.
-Average, LLC, Fisher-vector, and VLAD encoders are available per branch, and
+per-dimension DFT magnitude spectra, each resampled to the same number of
+frequency samples whatever the video's length. Average, LLC, Fisher-vector, and VLAD encoders are available per branch, and
 a one-vs-rest linear SVM classifies the fused vectors.
 """
 
@@ -67,7 +67,6 @@ from .preprocess import (
     scale_to_norm,
 )
 from .spectral import (
-    Spectrum,
     cubic_resample,
     dft_magnitude,
     naive_dft_reference,

@@ -22,16 +22,6 @@ VARIANCE_FLOOR_SCALE = 1e-6
 _LABEL_BLOCK_ROWS = 512
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """All pairwise squared Euclidean distances, clamped at zero."""
-    sq = (
-        np.sum(points * points, axis=1)[:, None]
-        + np.sum(centers * centers, axis=1)[None, :]
-        - 2.0 * points @ centers.T
-    )
-    return np.maximum(sq, 0.0)
-
-
 # an overflow shows up as a non-finite chosen score, which raises DataError below
 @np.errstate(over="ignore", invalid="ignore")
 def _nearest_labels(points: np.ndarray, centers: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -39,7 +29,8 @@ def _nearest_labels(points: np.ndarray, centers: np.ndarray, k: int | None = Non
     row's ``k`` nearest centers as an N x k matrix; ties go to the lowest index.
 
     This is the one nearest-center search of the package: K-means, the GMM
-    start and VLAD take one label per row, LLC its ``k`` nearest codewords.
+    start and VLAD take one label per row, LLC its ``k`` nearest codewords and
+    ``Codebook``'s duplicate check each centroid's 2 nearest centroids.
     Centers are ranked by ``‖c‖² − 2·x·c``. That is ``‖x − c‖²`` minus
     ``‖x‖²``, which is the same for every center of a row, so dropping it (and
     the clamp at zero that only guards its cancellation) leaves each row's
@@ -127,17 +118,27 @@ class Codebook:
 
 
 def _check_distinct(centroids: np.ndarray) -> None:
-    # gram-trick distances carry cancellation noise, so shortlist loosely and
-    # confirm candidates with exact differences
+    """Raise ``DataError`` when two centroids lie within 1e-12 of each other.
+
+    Each centroid's two nearest centroids come from ``_nearest_labels``: itself
+    and its nearest other centroid, in either order when they are duplicates.
+    Only those pairs are confirmed, by exact differences. So no K x K matrix is
+    formed, and no threshold on Gram-expanded distances, whose rounding grows
+    with the centroids' squared norms, can let a duplicate through.
+    """
+    if centroids.shape[0] == 1:
+        return
+    try:
+        nearest = _nearest_labels(centroids, centroids, 2)
+    except DataError:
+        raise DataError("centroid distances overflow float64") from None
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = _squared_distances(centroids, centroids)
-    if not np.all(np.isfinite(sq)):
-        raise DataError("centroid distances overflow float64")
-    np.fill_diagonal(sq, np.inf)
-    close = np.argwhere(sq < 1e-13)
-    for i, j in close:
-        if i < j and np.linalg.norm(centroids[i] - centroids[j]) <= 1e-12:
-            raise DataError(f"centroids {i} and {j} are identical")
+        gaps = np.linalg.norm(centroids[:, None, :] - centroids[nearest], axis=2)
+    close = (gaps <= 1e-12) & (nearest != np.arange(centroids.shape[0])[:, None])
+    pairs = [sorted((int(i), int(nearest[i, c]))) for i, c in zip(*np.nonzero(close))]
+    if pairs:
+        i, j = min(pairs)
+        raise DataError(f"centroids {i} and {j} are identical")
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ def _kmeans_pp_init(data: np.ndarray, num_words: int, rng: np.random.Generator) 
     sq_norms = np.sum(data * data, axis=1)
 
     def sq_distances_to(j: int) -> np.ndarray:
-        # _squared_distances(data, data[j][None, :])[:, 0], reusing the row norms
+        # squared distances from every row to row j, reusing the row norms
         return np.maximum((sq_norms + sq_norms[j]) - (doubled @ data[j : j + 1].T)[:, 0], 0.0)
 
     chosen = [int(rng.integers(m))]

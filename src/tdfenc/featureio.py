@@ -23,7 +23,10 @@ FEATURE_MAGIC = b"TDFE"
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    """Per-frame descriptors of one video; column i is the descriptor of frame i."""
+    """A D x N matrix of one video whose columns are the steps of a sequence:
+    column i is the descriptor of frame i, or for a spectrum
+    (``spectrum_of_sequence``) the magnitudes at frequency sample i. ``frames``
+    counts the columns."""
 
     video_id: str
     values: np.ndarray

@@ -5,7 +5,7 @@ A video is encoded in two branches, each stage by the package's public layer
 function. Frames are unit-normalized (``l2_normalize``) and optionally
 PCA-reduced (``pca_fit``, ``pca_transform``). The time branch pools those frame
 descriptors directly. The spectrum branch first maps the sequence to
-per-dimension magnitude spectra on a shared frequency axis
+per-dimension magnitude spectra of ``spectrum_length`` frequency samples
 (``spectrum_of_sequence``) and pools descriptors read from that matrix;
 ``dft_pool_axis`` selects whether one descriptor is a frequency-bin column or a
 per-dimension spectral profile row. Branch vectors are scaled to configured
@@ -93,6 +93,13 @@ POOL_AXES = ("dimension", "frequency")
 _BRANCHES = ("time", "dft")
 _PCA_FILE = "pca.tdfp"
 
+# largest spectrum_length and synthetic dims: 4x the paper's 4096-dim frame
+# features and 32x its longest spectrum (L = 500). One D x L spectrum at D = 4096,
+# and one synthetic video of 4096 frames, then take at most 512 MiB. Larger values
+# are rejected before anything is allocated, because memory overcommit can grant
+# a huge request that then exhausts memory.
+_MAX_SIZE = 16_384
+
 # seed offsets so per-branch fits draw independent streams from one config seed
 _FIT_SEED_OFFSETS = {"time": 11, "dft": 12}
 
@@ -151,6 +158,10 @@ class PipelineConfig:
             raise ConfigError(f"pca_dims must be positive, got {self.pca_dims}")
         if self.spectrum_length < 1:
             raise ConfigError(f"spectrum_length must be positive, got {self.spectrum_length}")
+        if self.spectrum_length > _MAX_SIZE:
+            raise ConfigError(
+                f"spectrum_length must be at most {_MAX_SIZE}, got {self.spectrum_length}"
+            )
         for name in ("time_encoder", "dft_encoder"):
             if getattr(self, name) not in ENCODERS:
                 raise ConfigError(f"{name} must be one of {ENCODERS}, got {getattr(self, name)!r}")
@@ -312,6 +323,8 @@ class SynthSpec:
             raise ConfigError(f"videos_per_class must be positive, got {self.videos_per_class}")
         if self.dims < 1:
             raise ConfigError(f"dims must be positive, got {self.dims}")
+        if self.dims > _MAX_SIZE:
+            raise ConfigError(f"dims must be at most {_MAX_SIZE}, got {self.dims}")
         if not 16 <= self.frames_min <= self.frames_max <= 4096:
             raise ConfigError(
                 f"frame-count range [{self.frames_min}, {self.frames_max}] must sit within [16, 4096]"

@@ -2,52 +2,22 @@
 
 Each feature dimension of a video is treated as a discrete time signal. Its
 DFT magnitude is computed with ``numpy.fft``, then resampled to a fixed
-number of points with cubic convolution so that every video shares one
-normalized frequency axis from 0 (DC) to 1 (the sampling rate).
+number L of points with cubic convolution, so every video gets a D x L
+spectrum. The N bins of an N-frame video are spread evenly over the L
+samples: bin k, at k/N cycles per frame, lands at position k/(N-1) of the
+axis, that is at sample k*(L-1)/(N-1). The first sample is DC and the last
+is bin N-1. A frequency f therefore lands near sample f*(L-1) in every video,
+shifted by about f*(L-1)/(N-1) samples, plus up to half a bin spacing,
+(L-1)/(2*(N-1)) samples, when f falls between bins. With L < N the samples
+skip bins.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .featureio import FeatureSequence
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Interpolated magnitude spectra, one row per feature dimension.
-
-    ``values[k, s]`` is the magnitude of dimension k at normalized frequency
-    ``frequency_axis[s]``.
-    """
-
-    values: np.ndarray
-    frequency_axis: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        axis = np.asarray(self.frequency_axis, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise DataError(f"spectrum values must be a non-empty 2-D matrix, got {values.shape}")
-        if axis.ndim != 1 or axis.shape[0] != values.shape[1]:
-            raise DataError("frequency axis length must match spectrum width")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise DataError("spectrum values must be finite and non-negative")
-        if axis[0] != 0.0 or (axis.size > 1 and np.any(np.diff(axis) <= 0)):
-            raise DataError("frequency axis must start at 0 and be strictly increasing")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "frequency_axis", axis)
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
 
 
 def dft_magnitude(signal) -> np.ndarray:
@@ -128,13 +98,15 @@ def cubic_resample(points, target_length: int) -> np.ndarray:
     return np.sum(weights * taps, axis=-1)
 
 
-def spectrum_of_sequence(seq: FeatureSequence, target_length: int) -> Spectrum:
+def spectrum_of_sequence(seq: FeatureSequence, target_length: int) -> FeatureSequence:
     """Per-dimension magnitude spectra resampled to a shared length.
 
-    Row k of the result is ``cubic_resample(dft_magnitude(row k), L)``; cubic
-    undershoot is clamped at zero so magnitudes stay non-negative. All videos
-    get the identical normalized frequency axis regardless of frame count.
+    Returns the D x L spectrum as a ``FeatureSequence`` of the same video,
+    one column per frequency sample. Row k is
+    ``cubic_resample(dft_magnitude(row k), L)``, with cubic undershoot clamped
+    at zero so magnitudes stay non-negative. Sample s sits at position
+    s/(L-1) of the axis described in the module docstring, whatever the
+    video's frame count.
     """
-    values = np.maximum(cubic_resample(dft_magnitude(seq.values), target_length), 0.0)
-    axis = np.linspace(0.0, 1.0, target_length) if target_length > 1 else np.zeros(1)
-    return Spectrum(values=values, frequency_axis=axis)
+    values = cubic_resample(dft_magnitude(seq.values), target_length)
+    return FeatureSequence(seq.video_id, np.maximum(values, 0.0))

@@ -12,6 +12,17 @@ where the library builds all components in one batched pass.
 import numpy as np
 
 
+def squared_distances(points, centers):
+    """All pairwise squared Euclidean distances by the Gram expansion, clamped
+    at zero: the reference ranking for the blocked nearest-center search."""
+    sq = (
+        np.sum(points * points, axis=1)[:, None]
+        + np.sum(centers * centers, axis=1)[None, :]
+        - 2.0 * points @ centers.T
+    )
+    return np.maximum(sq, 0.0)
+
+
 def keys_kernel(t):
     """Scalar cubic-convolution kernel, a = -1/2."""
     t = abs(t)

@@ -373,6 +373,30 @@ def test_run_with_bad_config_exits_1(dataset, tmp_path, capsys, text, expected):
     assert expected in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        # each asks numpy for more than a 64-bit address space holds: 7.11 PiB,
+        # a size past int64, and some 500 PiB of frames
+        ("run", "spectrum_length", "1000000000000000"),
+        ("run", "spectrum_length", "10000000000000000000"),
+        ("synth", "dims", "1000000000000000"),
+    ],
+)
+def test_oversized_sizes_exit_1_before_allocating(dataset, tmp_path, capsys, command, key, value):
+    manifest_path, _ = dataset
+    path = tmp_path / "big.cfg"
+    capsys.readouterr()
+    if command == "run":
+        path.write_text(RUN_CONFIG.replace("spectrum_length=64", f"{key}={value}"), encoding="utf-8")
+        argv = ["run", "--config", str(path), "--manifest", str(manifest_path), "--repeat", "1"]
+    else:
+        path.write_text(SYNTH_SPEC.replace("dims=8", f"{key}={value}"), encoding="utf-8")
+        argv = ["synth", "--spec", str(path), "--out", str(tmp_path / "big")]
+    assert main(argv) == 1
+    assert f"{key} must be at most 16384, got {value}" in _one_line_error(capsys)
+
+
 def test_run_with_non_utf8_manifest_exits_2(dataset, tmp_path, capsys):
     _, config_path = dataset
     manifest_path = tmp_path / "latin1.tsv"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,9 +29,10 @@ from tdfenc.codebook import (
     _kmeans_pp_init,
     _nearest_labels,
     _repair_empty_clusters,
-    _squared_distances,
 )
 from tdfenc.errors import DataError
+
+from oracles import squared_distances
 
 
 class TestKmeans:
@@ -111,7 +113,7 @@ def _reference_pp_init(data, num_words, rng):
     """k-means++ seeding as a plain loop over rng.choice with explicit probabilities."""
     m = data.shape[0]
     chosen = [int(rng.integers(m))]
-    min_sq = _squared_distances(data, data[chosen[-1]][None, :])[:, 0]
+    min_sq = squared_distances(data, data[chosen[-1]][None, :])[:, 0]
     for _ in range(num_words - 1):
         total = float(min_sq.sum())
         if total <= 0.0:
@@ -119,7 +121,7 @@ def _reference_pp_init(data, num_words, rng):
         else:
             nxt = int(rng.choice(m, p=min_sq / total))
         chosen.append(nxt)
-        min_sq = np.minimum(min_sq, _squared_distances(data, data[nxt][None, :])[:, 0])
+        min_sq = np.minimum(min_sq, squared_distances(data, data[nxt][None, :])[:, 0])
     return data[chosen]
 
 
@@ -149,7 +151,7 @@ class TestNearestLabels:
         rng = np.random.default_rng(num_points * 1000 + num_centers)
         points = rng.normal(size=(num_points, 8))
         centers = rng.normal(size=(num_centers, 8))
-        expected = np.argmin(_squared_distances(points, centers), axis=1)
+        expected = np.argmin(squared_distances(points, centers), axis=1)
         np.testing.assert_array_equal(_nearest_labels(points, centers), expected)
 
     def test_ties_break_to_lowest_index(self):
@@ -173,7 +175,7 @@ class TestNearestLabels:
         rng = np.random.default_rng(num_points * 1000 + num_centers + k)
         points = rng.normal(size=(num_points, 8))
         centers = rng.normal(size=(num_centers, 8))
-        expected = np.argsort(_squared_distances(points, centers), axis=1, kind="stable")[:, :k]
+        expected = np.argsort(squared_distances(points, centers), axis=1, kind="stable")[:, :k]
         np.testing.assert_array_equal(_nearest_labels(points, centers, k), expected)
         if k == 1:
             np.testing.assert_array_equal(_nearest_labels(points, centers), expected[:, 0])
@@ -402,6 +404,41 @@ class TestValidation:
     def test_codebook_duplicate_centroids_rejected(self):
         with pytest.raises(DataError, match="identical"):
             Codebook(np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.4, 1e2, 1e4, 1e5])
+    def test_duplicate_centroids_rejected_at_every_scale(self, scale):
+        # the Gram expansion's rounding grows with the centroids' squared norms,
+        # so a threshold on it lets exact duplicates of large centroids through
+        rng = np.random.default_rng(int(scale * 1000) + 7)
+        for _ in range(150):
+            num_words, d = int(rng.integers(2, 40)), int(rng.integers(1, 64))
+            centroids = rng.normal(size=(num_words, d)) * scale
+            i, j = sorted(int(x) for x in rng.choice(num_words, 2, replace=False))
+            centroids[j] = centroids[i]
+            if rng.random() < 0.5:
+                # a duplicate up to 1e-12 away counts as identical too
+                centroids[j, int(rng.integers(d))] += rng.uniform(-5e-13, 5e-13)
+            with pytest.raises(DataError, match=rf"^centroids {i} and {j} are identical$"):
+                Codebook(centroids)
+
+    def test_distinct_and_single_centroids_accepted(self):
+        Codebook(np.array([[3.0, -1.0]]))
+        Codebook(np.array([[0.0], [2e-12]]))
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 1.0, 1e5):
+            Codebook(rng.normal(size=(300, 16)) * scale)
+
+    def test_duplicate_check_forms_no_pairwise_matrix(self):
+        # the K x K distance matrix of these centroids would take 128 MiB
+        centroids = np.random.default_rng(8).normal(size=(4096, 8))
+        tracemalloc.start()
+        try:
+            Codebook(centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of scores plus the K x 2 neighbours and their differences
+        assert peak <= 8 * (_LABEL_BLOCK_ROWS * 4096 + 4096 * 2 * (8 + 4)) < 4096**2 * 8 / 4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_centroid_distances_rejected_without_warnings(self, tmp_path):

@@ -124,6 +124,9 @@ class TestConfigParsing:
             PipelineConfig(svm_c=-1.0)
         with pytest.raises(ConfigError, match="spectrum_length must be positive"):
             replace(PipelineConfig(), spectrum_length=0)
+        assert PipelineConfig(spectrum_length=16384).spectrum_length == 16384
+        with pytest.raises(ConfigError, match="^spectrum_length must be at most 16384, got 16385$"):
+            replace(PipelineConfig(), spectrum_length=16385)
         with pytest.raises(ConfigError, match="time_encoder must be one of"):
             PipelineConfig.emotion_defaults(time_encoder="mean")
         with pytest.raises(ConfigError, match="dft_pool_axis must be one of"):
@@ -202,6 +205,9 @@ class TestSynthSpec:
             replace(tiny_spec(), num_classes=3)
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             tiny_spec(seed=-1)
+        assert tiny_spec(dims=16384).dims == 16384
+        with pytest.raises(ConfigError, match="^dims must be at most 16384, got 16385$"):
+            replace(tiny_spec(), dims=16385)
 
     def test_frequency_range_validated(self):
         with pytest.raises(ConfigError, match="frequencies"):

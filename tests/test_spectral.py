@@ -3,7 +3,6 @@ import pytest
 
 from tdfenc import (
     FeatureSequence,
-    Spectrum,
     cubic_resample,
     dft_magnitude,
     naive_dft_reference,
@@ -129,24 +128,26 @@ class TestSpectrumOfSequence:
         rng = np.random.default_rng(5)
         a = spectrum_of_sequence(FeatureSequence("a", rng.normal(size=(2, 64))), 40)
         b = spectrum_of_sequence(FeatureSequence("b", rng.normal(size=(2, 128))), 40)
-        np.testing.assert_array_equal(a.frequency_axis, b.frequency_axis)
-        assert a.frequency_axis[0] == 0.0 and a.frequency_axis[-1] == 1.0
-        assert a.length == b.length == 40
+        assert isinstance(a, FeatureSequence) and (a.video_id, b.video_id) == ("a", "b")
+        assert a.values.shape == b.values.shape == (2, 40)
+        assert a.frames == b.frames == 40
 
     def test_sine_peak_location(self):
         n = 64
         steps = np.arange(n)
         seq = FeatureSequence("s", np.sin(2 * np.pi * 8 * steps / n)[None, :])
         spectrum = spectrum_of_sequence(seq, 500)
+        # sample s sits at s / (L - 1) of the normalized axis
+        axis = np.linspace(0.0, 1.0, 500)
         row = spectrum.values[0]
         half = 250
         peak = int(np.argmax(row[:half]))
         mirror = half + int(np.argmax(row[half:]))
         # bins 8 and 56 of 64 sit at 8/63 and 56/63 on the normalized axis
-        assert abs(spectrum.frequency_axis[peak] - 8 / 63) < 0.02
-        assert abs(spectrum.frequency_axis[mirror] - 56 / 63) < 0.02
-        assert abs(spectrum.frequency_axis[peak] - 0.125) < 0.02
-        assert abs(spectrum.frequency_axis[mirror] - 0.875) < 0.02
+        assert abs(axis[peak] - 8 / 63) < 0.02
+        assert abs(axis[mirror] - 56 / 63) < 0.02
+        assert abs(axis[peak] - 0.125) < 0.02
+        assert abs(axis[mirror] - 0.875) < 0.02
 
     def test_rows_match_single_row_resampling_for_every_length(self):
         rng = np.random.default_rng(31)
@@ -178,11 +179,3 @@ class TestSpectrumOfSequence:
             seq = FeatureSequence("r", rng.normal(size=(3, int(rng.integers(16, 100)))))
             spectrum = spectrum_of_sequence(seq, 200)
             assert np.all(spectrum.values >= 0.0)
-
-    def test_spectrum_invariants_enforced(self):
-        with pytest.raises(DataError):
-            Spectrum(values=np.array([[-1.0, 0.0]]), frequency_axis=np.array([0.0, 1.0]))
-        with pytest.raises(DataError):
-            Spectrum(values=np.array([[1.0, 2.0]]), frequency_axis=np.array([0.5, 1.0]))
-        with pytest.raises(DataError):
-            Spectrum(values=np.array([[1.0, 2.0]]), frequency_axis=np.array([0.0, 0.0]))
