@@ -81,8 +81,12 @@ def read_feature_sequence(path, video_id: str | None = None) -> FeatureSequence:
     # checked before the cast, which warns on a signalling NaN
     if not np.all(np.isfinite(flat)):
         raise FormatError(f"non-finite values in feature file: {path}")
-    values = flat.astype(np.float64).reshape(frames, dims).T
-    return FeatureSequence(video_id=video_id or path.stem, values=values)
+    # shape and values are checked above, so FeatureSequence's own checks are
+    # skipped rather than run again over the whole matrix
+    seq = object.__new__(FeatureSequence)
+    object.__setattr__(seq, "video_id", video_id or path.stem)
+    object.__setattr__(seq, "values", flat.astype(np.float64).reshape(frames, dims).T)
+    return seq
 
 
 def _text_lines(path: Path, error: type[TdfError], missing: str):

@@ -12,6 +12,12 @@ per-dimension spectral profile row. Branch vectors are scaled to configured
 norms and concatenated (``fuse``); a one-vs-rest linear SVM is trained on the
 fused vectors. ``encode_video`` is the one per-video encode path for test
 videos and CLI ``encode``.
+
+Videos are read from disk one at a time and never all held. The PCA fit
+streams the training videos into ``pca_fit``; with PCA on, a training video
+is read a second time for its reduced descriptors. Fit memory is bounded by
+the D x D PCA scatter, one video, the codebook branches' descriptors and the
+pooled vectors, not by the number of training frames.
 """
 
 from __future__ import annotations
@@ -394,16 +400,6 @@ class ModelBundle:
     dft_model: Codebook | GmmModel | None = None
 
 
-def _read_frames(manifest: DatasetManifest, dims: int | None = None):
-    """Yield (entry, sequence) per video; all must have one dims, ``dims`` if given."""
-    for e in manifest.entries:
-        seq = read_feature_sequence(e.feature_path, e.video_id)
-        if dims is not None and seq.dims != dims:
-            raise DataError(f"{e.video_id}: has {seq.dims} descriptor dims, dataset uses {dims}")
-        dims = seq.dims
-        yield e, seq
-
-
 def _check_bundle(config: PipelineConfig, bundle: ModelBundle) -> None:
     """Raise DataError unless the bundle holds each fitted model the config uses:
     a PCA of ``pca_dims`` outputs if PCA is on, and for each enabled branch the
@@ -441,56 +437,118 @@ def _descriptor_sets(
     return sets
 
 
+def _pooled(config: PipelineConfig, bundle: ModelBundle, video_id: str, sets) -> dict:
+    """Each branch's descriptor set pooled by its encoder, as a map from branch
+    to vector; an error names the video and the branch."""
+    vectors = {}
+    with _naming(video_id):
+        for branch, descriptors in sets.items():
+            with _naming(f"{branch} branch"):
+                vectors[branch] = _ENCODERS[getattr(config, f"{branch}_encoder")].pool(
+                    config, getattr(bundle, f"{branch}_model"), descriptors, branch
+                )
+    return vectors
+
+
+def _fused(config: PipelineConfig, video_id: str, vectors: dict) -> VideoVector:
+    """The branch vectors, time branch first, scaled to their configured norms
+    and concatenated; an error names the video."""
+    with _naming(video_id):
+        return fuse([(vectors[b], getattr(config, f"fusion_{b}_norm")) for b in _BRANCHES
+                     if b in vectors])
+
+
+class _Videos:
+    """The videos of a manifest, read from disk one at a time and never all
+    held. All must have the same descriptor dims, ``dims`` if given.
+
+    Iterating reads every video again and yields its unit-normalized frames
+    (frames x dims): the sized iterable of row blocks that ``pca_fit`` takes.
+    ``error`` keeps the error a read or normalization raised there, so that
+    it is passed on as it is, not as an error of the fit.
+    """
+
+    def __init__(self, manifest: DatasetManifest, dims: int | None = None):
+        self.manifest, self.dims, self.error = manifest, dims, None
+
+    def read(self, entry: ManifestEntry) -> FeatureSequence:
+        seq = read_feature_sequence(entry.feature_path, entry.video_id)
+        if self.dims is not None and seq.dims != self.dims:
+            raise DataError(
+                f"{entry.video_id}: has {seq.dims} descriptor dims, dataset uses {self.dims}"
+            )
+        self.dims = seq.dims
+        return seq
+
+    def __len__(self) -> int:
+        return len(self.manifest.entries)
+
+    def __iter__(self):
+        try:
+            for e in self.manifest.entries:
+                yield l2_normalize(self.read(e).values.T)
+        except DataError as exc:
+            self.error = exc
+            raise
+
+
 def _fit(config: PipelineConfig, manifest: DatasetManifest, branches: dict):
-    """Fit the bundle (see ``fit_models``) on one read of each video; also
-    return the videos' dims and (entry, descriptor sets) per video for the
-    branches named in ``branches``, a map from branch to its model class."""
-    videos = [(e, l2_normalize(seq.values.T)) for e, seq in _read_frames(manifest)]
-    pca = None
+    """Fit the bundle (see ``fit_models``). Also return the videos' dims and,
+    per video, (entry, vectors, sets) for the branches named in ``branches``,
+    a map from branch to its model class: ``vectors`` holds each average
+    branch's pooled vector, ``sets`` each codebook branch's descriptor set.
+
+    PCA is fitted on one streamed read of the videos. The descriptors need a
+    second read when PCA is on, since they are PCA-reduced.
+    """
+    videos, pca = _Videos(manifest), None
     if config.pca_dims is not None:
-        with _naming("pca stage"):
-            pca = pca_fit([frames for _, frames in videos], config.pca_dims)
-    sets = [(e, _descriptor_sets(config, pca, e.video_id, f, branches)) for e, f in videos]
+        try:
+            pca = pca_fit(videos, config.pca_dims)
+        except DataError as exc:
+            if exc is videos.error:
+                raise
+            raise DataError(f"pca stage: {exc}") from None
+        if not branches:
+            return ModelBundle(pca), videos.dims, []
+    held = []
+    for e in manifest.entries:
+        # the frames are passed on, not kept, so no video outlives its turn
+        sets = _descriptor_sets(
+            config, pca, e.video_id, l2_normalize(videos.read(e).values.T), branches
+        )
+        # average pooling needs no fitted model, so those branches pool now
+        average = {b: s for b, s in sets.items() if branches[b] is None}
+        codebook = {b: s for b, s in sets.items() if branches[b] is not None}
+        held.append((e, _pooled(config, ModelBundle(), e.video_id, average), codebook))
     models = {}
     for branch, cls in branches.items():
         if cls is not None:
-            descriptors = np.vstack([s[branch] for _, s in sets])
+            descriptors = np.vstack([kept[branch] for _, _, kept in held])
             seed = config.seed + _FIT_SEED_OFFSETS[branch]
             with _naming(f"{branch} branch"):
                 models[f"{branch}_model"] = _MODEL_KINDS[cls].fit(
                     config, descriptors, config.codebook_size(branch), seed
                 )
-    return ModelBundle(pca, **models), videos[0][1].shape[1], sets
+    return ModelBundle(pca, **models), videos.dims, held
 
 
 def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle:
     """Fit the optional PCA and any branch codebooks/GMMs on training videos.
 
-    PCA is ``pca_fit`` on every unit-normalized training frame, handed as one
-    row block per video so no stacked frame matrix is formed. Branch models are
+    PCA is ``pca_fit`` on every unit-normalized training frame, streamed one
+    video at a time, so fit memory is bounded by the D x D scatter, one video
+    and one row sum per video, not by the number of frames. Branch models are
     fitted on that branch's descriptors from the training videos only, with
-    separate seeds per branch. Each video is read once, and only if PCA or a
-    codebook needs it; the descriptor sets are computed only for branches with
-    a codebook and are dropped on return.
+    separate seeds per branch; only those descriptor sets are held, and they
+    are dropped on return. A video is read once for PCA and once for the
+    codebook descriptors, each only if needed: twice with PCA and a codebook,
+    never with neither.
     """
     branches = {b: cls for b, cls in _branch_models(config).items() if cls is not None}
     if config.pca_dims is None and not branches:
         return ModelBundle()
     return _fit(config, manifest, branches)[0]
-
-
-def _fuse_sets(config: PipelineConfig, bundle: ModelBundle, video_id: str, sets) -> VideoVector:
-    """Pool each branch's descriptor set with its encoder and fuse the branch
-    vectors; an error names the video and the branch."""
-    parts = []
-    with _naming(video_id):
-        for branch, descriptors in sets.items():
-            with _naming(f"{branch} branch"):
-                vector = _ENCODERS[getattr(config, f"{branch}_encoder")].pool(
-                    config, getattr(bundle, f"{branch}_model"), descriptors, branch
-                )
-            parts.append((vector, getattr(config, f"fusion_{branch}_norm")))
-        return fuse(parts)
 
 
 def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequence) -> VideoVector:
@@ -505,7 +563,7 @@ def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequen
         _check_bundle(config, bundle)
         frames = l2_normalize(seq.values.T)
         sets = _descriptor_sets(config, bundle.pca, seq.video_id, frames, _branch_models(config))
-    return _fuse_sets(config, bundle, seq.video_id, sets)
+    return _fused(config, seq.video_id, _pooled(config, bundle, seq.video_id, sets))
 
 
 @dataclass(frozen=True)
@@ -548,7 +606,8 @@ class ExperimentResult:
 def _encode_manifest(
     config: PipelineConfig, bundle: ModelBundle, manifest: DatasetManifest, dims: int | None = None
 ) -> list[tuple[VideoVector, int]]:
-    return [(encode_video(config, bundle, seq), e.label) for e, seq in _read_frames(manifest, dims)]
+    videos = _Videos(manifest, dims)
+    return [(encode_video(config, bundle, videos.read(e)), e.label) for e in manifest.entries]
 
 
 def _repetition_split(config: PipelineConfig, manifest: DatasetManifest, r: int):
@@ -561,19 +620,27 @@ def run_repeated_experiment(
 ) -> ExperimentResult:
     """Repeat split/fit/encode/train/evaluate; run r splits with seed + r.
 
-    Each repetition reads every video once. The fit reads the training
-    videos and keeps their descriptor sets until their vectors are pooled;
-    nothing is kept from one repetition to the next. Test videos are then
-    read and encoded one at a time and must have the training videos' dims.
+    Each repetition reads every test video once and every training video
+    once, or twice with PCA: the PCA fit streams the training videos, and
+    their PCA-reduced descriptors need a second read. That read pools the
+    average branches at once and keeps descriptor sets only for codebook
+    branches until those are fitted, so fit memory is bounded by the PCA
+    scatter, one video, the codebook descriptors and the pooled vectors.
+    Nothing is kept from one repetition to the next. Test videos are read and
+    encoded one at a time and must have the training videos' dims.
     """
     if repetitions < 1:
         raise DataError(f"repetitions must be positive, got {repetitions}")
     reports = []
     for r in range(1, repetitions + 1):
         train_manifest, test_manifest = _repetition_split(config, manifest, r)
-        bundle, dims, train_sets = _fit(config, train_manifest, _branch_models(config))
-        train_pairs = [(_fuse_sets(config, bundle, e.video_id, s), e.label) for e, s in train_sets]
-        del train_sets  # pooled; kept neither through training nor into the next fit
+        bundle, dims, held = _fit(config, train_manifest, _branch_models(config))
+        train_pairs = [
+            (_fused(config, e.video_id, {**vectors, **_pooled(config, bundle, e.video_id, sets)}),
+             e.label)
+            for e, vectors, sets in held
+        ]
+        del held  # pooled; kept neither through training nor into the next fit
         model = train_linear_svm(
             train_pairs,
             manifest.num_classes,

@@ -11,6 +11,9 @@ from . import binio
 from .errors import DataError, FormatError
 
 PCA_MAGIC = b"TDFP"
+# rows that pca_transform centers at a time, so that encoding does not
+# allocate, fault in and free a centered copy of every video's frame matrix
+_TRANSFORM_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -61,45 +64,75 @@ def l2_normalize(v) -> np.ndarray:
     axis; zero rows are returned unchanged."""
     # in C order each norm sums its row in the same order whatever the input layout
     vec = np.asarray(v, dtype=np.float64, order="C")
-    if not np.all(np.isfinite(vec)):
-        raise DataError("cannot normalize a non-finite vector")
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vec, axis=-1, keepdims=True) if vec.ndim else np.abs(vec)
-    if np.isinf(norms).any():
+    out = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if vec.ndim:
+            # np.linalg.norm's sum of squares, in the buffer that then takes the result
+            out = np.multiply(vec, vec)
+            norms = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True))
+        else:
+            norms = np.abs(vec)
+    # a non-finite value makes its row's norm non-finite, so only then is the
+    # whole input scanned, to tell a non-finite value from an overflow
+    if not np.isfinite(norms).all():
+        if not np.isfinite(vec).all():
+            raise DataError("cannot normalize a non-finite vector")
         raise DataError("cannot normalize a vector whose norm overflows float64")
-    return vec / np.where(norms == 0.0, 1.0, norms)
+    return np.divide(vec, np.where(norms == 0.0, 1.0, norms), out=out)
 
 
 def pca_fit(descriptors, output_dims: int) -> PcaModel:
     """Fit PCA on an M x D sample: eigendecomposition of its centered scatter.
 
-    ``descriptors`` is one M x D array-like or a list of 2-D row blocks that
-    are fitted as if stacked. One pass sums the rows for the mean; a second
-    accumulates the centered D x D scatter block by block, so no stacked
-    matrix is formed. ``output_dims`` above the attainable rank min(D, M-1)
-    raises DataError. Component signs are fixed so the largest-magnitude
-    entry of each component is positive, making fits reproducible.
+    ``descriptors`` is one M x D array-like, or any other iterable (a list or
+    tuple of 2-D arrays, or a sized iterable that reads them) of row blocks
+    fitted as if stacked. The blocks are iterated once: each is centered on
+    its own mean and its scatter added, and the spread of the block means
+    about the overall mean, ``Σ n_b (μ_b − μ)(μ_b − μ)ᵀ``, is added once at the
+    end (the pairwise update of Chan, Golub & LeVeque, 1983). So the fit
+    holds one block, the D x D scatter and one row sum per block, never a
+    stacked matrix. Empty blocks are skipped. ``output_dims`` above the
+    attainable rank min(D, M-1) raises DataError. Component signs are fixed so
+    the largest-magnitude entry of each component is positive, making fits
+    reproducible.
     """
-    if isinstance(descriptors, (list, tuple)) and descriptors and np.ndim(descriptors[0]) == 2:
-        blocks = [np.asarray(b, dtype=np.float64) for b in descriptors]
-    else:
-        blocks = [np.asarray(descriptors, dtype=np.float64)]
-    if any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1] for b in blocks):
-        raise DataError("descriptors must be an M x D matrix")
-    m = sum(b.shape[0] for b in blocks)
+    if isinstance(descriptors, np.ndarray) or (
+        isinstance(descriptors, (list, tuple))
+        and not (descriptors and np.ndim(descriptors[0]) == 2)
+    ):
+        descriptors = [descriptors]
+    d_in = scatter = product = None
+    counts, sums = [], []
+    # the centered block and its D x D product go into buffers reused from block
+    # to block, so a long stream does not allocate and free them per block
+    centered = np.empty((0, 0))
+    for block in descriptors:
+        b = np.asarray(block, dtype=np.float64)
+        if d_in is None and b.ndim == 2:
+            d_in = b.shape[1]
+            scatter, product = np.zeros((d_in, d_in)), np.empty((d_in, d_in))
+        if b.ndim != 2 or b.shape[1] != d_in:
+            raise DataError("descriptors must be an M x D matrix")
+        if len(b):
+            total = b.sum(axis=0)
+            if len(centered) < len(b):
+                centered = np.empty_like(b)
+            rows = np.subtract(b, total / len(b), out=centered[: len(b)])
+            scatter += np.matmul(rows.T, rows, out=product)
+            counts.append(len(b))
+            sums.append(total)
+    m = sum(counts)
     if m < 2:
         raise DataError(f"PCA needs at least 2 descriptors, got {m}")
     if output_dims < 1:
         raise DataError(f"output_dims must be positive, got {output_dims}")
-    d_in = blocks[0].shape[1]
     limit = min(d_in, m - 1)
     if output_dims > limit:
         raise DataError(f"requested {output_dims} components exceeds attainable rank {limit}")
-    mean = sum(b.sum(axis=0) for b in blocks) / m
-    scatter = np.zeros((d_in, d_in))
-    for b in blocks:
-        centered = b - mean
-        scatter += centered.T @ centered
+    mean = sum(sums) / m
+    counts = np.array(counts, dtype=np.float64)[:, None]
+    spread = np.array(sums) / counts - mean
+    scatter += (counts * spread).T @ spread
     eigenvalues, eigenvectors = np.linalg.eigh(scatter)
     # eigh sorts ascending; keep the top output_dims in descending order
     components = np.ascontiguousarray(eigenvectors[:, ::-1][:, :output_dims].T)
@@ -110,13 +143,22 @@ def pca_fit(descriptors, output_dims: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, v) -> np.ndarray:
-    """Project one vector (or rows of a matrix) onto the fitted components."""
+    """Project one vector (or rows of a matrix) onto the fitted components.
+
+    Rows are centered and projected ``_TRANSFORM_BLOCK_ROWS`` at a time, so a
+    long video needs no centered copy of its whole frame matrix.
+    """
     vec = np.asarray(v, dtype=np.float64)
     if vec.shape[-1] != model.input_dims:
         raise DataError(
             f"dimension mismatch: input has {vec.shape[-1]} dims, PCA expects {model.input_dims}"
         )
-    return (vec - model.mean) @ model.components.T
+    rows = vec.reshape(-1, model.input_dims)
+    out = np.empty((len(rows), model.output_dims))
+    for start in range(0, len(rows), _TRANSFORM_BLOCK_ROWS):
+        block = slice(start, start + _TRANSFORM_BLOCK_ROWS)
+        np.matmul(rows[block] - model.mean, model.components.T, out=out[block])
+    return out.reshape(vec.shape[:-1] + (model.output_dims,))
 
 
 def scale_to_norm(v, target_norm: float) -> np.ndarray:

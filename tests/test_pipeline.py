@@ -24,7 +24,7 @@ from tdfenc import (
     train_linear_svm,
     write_feature_sequence,
 )
-from tdfenc.errors import ConfigError, DataError
+from tdfenc.errors import ConfigError, DataError, FormatError
 from tdfenc.codebook import Codebook, GmmModel
 from tdfenc.pipeline import ModelBundle
 from tdfenc.svm import LinearSvmModel
@@ -448,6 +448,55 @@ class TestFitModels:
             monkeypatch.setattr(f"tdfenc.pipeline.{name}", refuse)
         fit_models(PipelineConfig(spectrum_length=16, **overrides), manifest)
 
+    def test_pca_fit_memory_does_not_grow_with_the_training_set(self, tmp_path):
+        import tracemalloc
+
+        dims, frames = 32, 200
+        config = PipelineConfig(pca_dims=4, spectrum_length=16, seed=1)
+        manifests = {
+            videos: generate_synthetic_dataset(
+                tiny_spec(videos_per_class=videos // 2, dims=dims, frames_min=frames,
+                          frames_max=frames),
+                tmp_path / f"videos{videos}",
+            )
+            for videos in (8, 32)
+        }
+        fit_models(config, manifests[8])  # first-call allocations stay out of the peaks
+        peaks = {}
+        for videos, manifest in manifests.items():
+            tracemalloc.start()
+            try:
+                fit_models(config, manifest)
+                peaks[videos] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 24 more videos may add less than one video's normalized frames
+        assert peaks[32] - peaks[8] < frames * dims * 8, peaks
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(pca_dims=3), dict(pca_dims=3, time_encoder="vlad", time_codebook_size=3),
+         dict(time_encoder="vlad", time_codebook_size=3)],
+        ids=["pca", "pca-codebook", "codebook"],
+    )
+    def test_read_errors_in_the_fit_keep_their_type_and_message(self, tmp_path, overrides):
+        # the PCA fit reads the videos inside pca_fit, yet a read error is the
+        # reader's own, not a "pca stage" error
+        manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+        config = PipelineConfig(spectrum_length=16, seed=1, **overrides)
+        corrupt, odd = manifest.entries[3], manifest.entries[5]
+        payload = bytearray(corrupt.feature_path.read_bytes())
+        payload[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        corrupt.feature_path.write_bytes(bytes(payload))
+        with pytest.raises(FormatError) as raised:
+            fit_models(config, manifest)
+        assert str(raised.value) == f"non-finite values in feature file: {corrupt.feature_path}"
+        write_feature_sequence(FeatureSequence(corrupt.video_id, np.ones((4, 30))),
+                               corrupt.feature_path)
+        write_feature_sequence(FeatureSequence(odd.video_id, np.ones((5, 30))), odd.feature_path)
+        with pytest.raises(DataError, match=f"^{odd.video_id}: has 5 descriptor dims, dataset uses 4$"):
+            fit_models(config, manifest)
+
     def test_mixed_dims_dataset_rejected(self, tmp_path):
         from tdfenc import DatasetManifest, ManifestEntry, write_feature_sequence
 
@@ -622,10 +671,12 @@ def test_experiment_runs_the_public_layer_functions(tmp_path, monkeypatch):
         len(split_train_test(manifest, config.train_fraction, config.seed + r)[1].entries)
         for r in range(1, repetitions + 1)
     )
+    # with PCA each training video is normalized twice: in the streamed PCA
+    # fit and again for its reduced descriptors
     assert calls == {
         "pca_fit": repetitions,
         "spectrum_of_sequence": videos,
-        "l2_normalize": videos,
+        "l2_normalize": videos + (videos - test_videos),
         "encode_video": test_videos,
     }
 
@@ -638,20 +689,61 @@ _PCA_CODEBOOK_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("overrides", _PCA_CODEBOOK_CONFIGS)
-def test_experiment_reads_each_video_once_per_repetition(tmp_path, monkeypatch, overrides):
-    manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
-    config = PipelineConfig(pca_dims=3, spectrum_length=16, svm_c=10.0, seed=3, **overrides)
-    reads = []
+def _reads_and_normalizations(monkeypatch, config, manifest, repetitions):
+    """The ids of the videos that ``run_repeated_experiment`` reads, sorted,
+    and how many times it calls ``l2_normalize``."""
+    reads, normalized = [], []
 
     def counting_read(path, video_id=None):
         reads.append(video_id)
         return read_feature_sequence(path, video_id)
 
+    def counting_normalize(v):
+        normalized.append(None)
+        return l2_normalize(v)
+
     monkeypatch.setattr("tdfenc.pipeline.read_feature_sequence", counting_read)
-    run_repeated_experiment(config, manifest, 2)
+    monkeypatch.setattr("tdfenc.pipeline.l2_normalize", counting_normalize)
+    run_repeated_experiment(config, manifest, repetitions)
+    return sorted(reads), len(normalized)
+
+
+def _split_ids(config, manifest, repetitions, train_reads):
+    """Sorted ids of ``repetitions`` splits, each training video ``train_reads`` times."""
+    ids = []
+    for r in range(1, repetitions + 1):
+        train, test = split_train_test(manifest, config.train_fraction, config.seed + r)
+        ids += [e.video_id for e in train.entries] * train_reads
+        ids += [e.video_id for e in test.entries]
+    return sorted(ids)
+
+
+@pytest.mark.parametrize("overrides", _PCA_CODEBOOK_CONFIGS)
+def test_experiment_reads_each_video_once_per_repetition(tmp_path, monkeypatch, overrides):
+    # once per pass over the data: with PCA the fit streams the training
+    # videos, then reads them again for their reduced descriptors, so each
+    # training video is read and normalized twice and each test video once
+    manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+    config = PipelineConfig(pca_dims=3, spectrum_length=16, svm_c=10.0, seed=3, **overrides)
+    reads, normalized = _reads_and_normalizations(monkeypatch, config, manifest, 2)
+    assert reads == _split_ids(config, manifest, 2, train_reads=2)
+    assert normalized == len(reads)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(), dict(time_encoder="vlad", dft_encoder="fv", time_codebook_size=3, dft_codebook_size=4)],
+    ids=["average", "codebooks"],
+)
+def test_experiment_without_pca_reads_each_video_once_per_repetition(
+    tmp_path, monkeypatch, overrides
+):
+    manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+    config = PipelineConfig(spectrum_length=16, svm_c=10.0, seed=3, **overrides)
+    reads, normalized = _reads_and_normalizations(monkeypatch, config, manifest, 2)
     ids = sorted(e.video_id for e in manifest.entries)
-    assert sorted(reads) == sorted(ids + ids)
+    assert reads == _split_ids(config, manifest, 2, train_reads=1) == sorted(ids + ids)
+    assert normalized == len(reads)
 
 
 @pytest.mark.parametrize("overrides", _PCA_CODEBOOK_CONFIGS)

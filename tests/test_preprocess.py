@@ -139,6 +139,67 @@ class TestPcaFit:
             pca_fit([np.zeros((1, 4)), np.zeros((0, 4))], 2)
 
 
+class _OnePass:
+    """A sized iterable of row blocks that fails if it is iterated twice."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.iterations = 0
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def __iter__(self):
+        self.iterations += 1
+        assert self.iterations == 1, "row blocks iterated twice"
+        yield from self.blocks
+
+
+class TestPcaFitInOnePass:
+    def test_one_pass_fit_equals_the_stacked_fit(self):
+        data = np.random.default_rng(5).normal(size=(40, 6))
+        stacked = pca_fit(data, 4)
+        streamed = pca_fit(_OnePass([data[:7], data[7:31], data[31:]]), 4)
+        np.testing.assert_allclose(streamed.mean, stacked.mean, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(streamed.components, stacked.components, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            streamed.explained_variance, stacked.explained_variance, rtol=1e-12
+        )
+
+    def test_empty_blocks_are_skipped(self):
+        data = np.random.default_rng(6).normal(size=(30, 5))
+        blocks = [data[:12], data[12:]]
+        empty = np.zeros((0, 5))
+        plain = pca_fit(_OnePass(blocks), 3)
+        padded = pca_fit(_OnePass([empty, blocks[0], empty, empty, blocks[1], empty]), 3)
+        for name in ("mean", "components", "explained_variance"):
+            np.testing.assert_array_equal(getattr(padded, name), getattr(plain, name))
+
+    def test_mismatched_widths_rejected(self):
+        with pytest.raises(DataError, match="^descriptors must be an M x D matrix$"):
+            pca_fit(_OnePass([np.ones((3, 4)), np.ones((3, 5))]), 2)
+        with pytest.raises(DataError, match="^descriptors must be an M x D matrix$"):
+            pca_fit(_OnePass([np.ones((3, 4)), np.ones(4)]), 2)
+
+    def test_data_far_from_the_origin_matches_the_two_pass_reference(self):
+        # the block means sit 1e3 from the origin and their spread is ~1e-3, so
+        # a between-block term taken as Σ n μ_b μ_bᵀ − m μ μᵀ cancels to noise
+        rng = np.random.default_rng(13)
+        data = _offset_data(rng)
+        data[200:] += 0.05  # the block means differ, so the between-block term counts
+        mean = data.mean(axis=0)
+        eigenvalues, eigenvectors = np.linalg.eigh((data - mean).T @ (data - mean))
+        axes = eigenvectors[:, ::-1].T
+        axes *= np.sign(axes[np.arange(6), np.argmax(np.abs(axes), axis=1)])[:, None]
+        bounds = np.cumsum(rng.integers(1, 40, size=30))
+        model = pca_fit(_OnePass(np.split(data, bounds[bounds < len(data)])), 6)
+        np.testing.assert_allclose(model.mean, mean, rtol=1e-14)
+        np.testing.assert_allclose(model.components, axes, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            model.explained_variance, eigenvalues[::-1] / (len(data) - 1), rtol=1e-9
+        )
+
+
 def _svd_reference(data, k):
     """Top-k principal axes and variances from a thin SVD of the centered data,
     with each axis signed so that its largest-magnitude entry is positive."""
