@@ -61,6 +61,7 @@ from .preprocess import (
     PcaModel,
     l2_normalize,
     load_pca_model,
+    normalized_pca_transform,
     pca_fit,
     pca_transform,
     save_pca_model,
@@ -69,7 +70,6 @@ from .preprocess import (
 from .spectral import (
     cubic_resample,
     dft_magnitude,
-    naive_dft_reference,
     spectrum_of_sequence,
 )
 from .svm import (

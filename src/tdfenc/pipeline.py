@@ -2,16 +2,18 @@
 flow, evaluation metrics, and the synthetic temporal benchmark generator.
 
 A video is encoded in two branches, each stage by the package's public layer
-function. Frames are unit-normalized (``l2_normalize``) and optionally
-PCA-reduced (``pca_fit``, ``pca_transform``). The time branch pools those frame
-descriptors directly. The spectrum branch first maps the sequence to
-per-dimension magnitude spectra of ``spectrum_length`` frequency samples
-(``spectrum_of_sequence``) and pools descriptors read from that matrix;
-``dft_pool_axis`` selects whether one descriptor is a frequency-bin column or a
-per-dimension spectral profile row. Branch vectors are scaled to configured
-norms and concatenated (``fuse``); a one-vs-rest linear SVM is trained on the
-fused vectors. ``encode_video`` is the one per-video encode path for test
-videos and CLI ``encode``.
+function. Frames are unit-normalized (``l2_normalize``). With PCA on,
+``normalized_pca_transform`` normalizes and reduces them in one step with a
+model from ``pca_fit``: it projects the raw frames and divides each projection
+by its frame's norm, so it makes neither a normalized nor a centered copy of
+the frames. The time branch pools those frame descriptors directly. The
+spectrum branch first maps the sequence to per-dimension magnitude spectra of
+``spectrum_length`` frequency samples (``spectrum_of_sequence``) and pools
+descriptors read from that matrix; ``dft_pool_axis`` selects whether one
+descriptor is a frequency-bin column or a per-dimension spectral profile row.
+Branch vectors are scaled to configured norms and concatenated (``fuse``); a
+one-vs-rest linear SVM is trained on the fused vectors. ``encode_video`` is
+the one per-video encode path for test videos and CLI ``encode``.
 
 Videos are read from disk one at a time and never all held. The PCA fit
 streams the training videos into ``pca_fit``; with PCA on, a training video
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -56,8 +58,8 @@ from .preprocess import (
     PcaModel,
     l2_normalize,
     load_pca_model,
+    normalized_pca_transform,
     pca_fit,
-    pca_transform,
     save_pca_model,
 )
 from .spectral import spectrum_of_sequence
@@ -426,10 +428,15 @@ def _descriptor_sets(
     config: PipelineConfig, pca: PcaModel | None, video_id: str, frames: np.ndarray, branches
 ) -> dict[str, np.ndarray]:
     """Descriptor set (one descriptor per row) of each named branch, from a
-    video's normalized frames."""
-    if config.pca_dims is not None and branches:
-        with _naming("pca stage"):
-            frames = pca_transform(pca, frames)
+    video's raw frames (frames x dims): unit-normalized, and PCA-reduced if
+    PCA is on."""
+    if config.pca_dims is None:
+        frames = l2_normalize(frames)
+    else:
+        # a dims mismatch is the PCA stage's error; a frame that cannot be
+        # normalized is the video's own, named as it is without PCA
+        with _naming("pca stage") if frames.shape[1] != pca.input_dims else nullcontext():
+            frames = normalized_pca_transform(pca, frames)
     sets = {"time": frames} if "time" in branches else {}
     if "dft" in branches:
         spectrum = spectrum_of_sequence(FeatureSequence(video_id, frames.T), config.spectrum_length)
@@ -514,9 +521,7 @@ def _fit(config: PipelineConfig, manifest: DatasetManifest, branches: dict):
     held = []
     for e in manifest.entries:
         # the frames are passed on, not kept, so no video outlives its turn
-        sets = _descriptor_sets(
-            config, pca, e.video_id, l2_normalize(videos.read(e).values.T), branches
-        )
+        sets = _descriptor_sets(config, pca, e.video_id, videos.read(e).values.T, branches)
         # average pooling needs no fitted model, so those branches pool now
         average = {b: s for b, s in sets.items() if branches[b] is None}
         codebook = {b: s for b, s in sets.items() if branches[b] is not None}
@@ -554,15 +559,17 @@ def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle
 def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequence) -> VideoVector:
     """Fused fixed-length representation of one video.
 
-    The bundle is checked against the config first. Frames are unit-normalized,
-    optionally PCA-reduced, then each enabled branch pools its descriptor set
-    and the branch vectors are scaled to the configured norms and concatenated.
-    An error names the video.
+    The bundle is checked against the config first. Frames are unit-normalized
+    by ``l2_normalize``, or with PCA on normalized and reduced in one step by
+    ``normalized_pca_transform``. Then each enabled branch pools its descriptor
+    set and the branch vectors are scaled to the configured norms and
+    concatenated. An error names the video.
     """
     with _naming(seq.video_id):
         _check_bundle(config, bundle)
-        frames = l2_normalize(seq.values.T)
-        sets = _descriptor_sets(config, bundle.pca, seq.video_id, frames, _branch_models(config))
+        sets = _descriptor_sets(
+            config, bundle.pca, seq.video_id, seq.values.T, _branch_models(config)
+        )
     return _fused(config, seq.video_id, _pooled(config, bundle, seq.video_id, sets))
 
 

@@ -11,9 +11,6 @@ from . import binio
 from .errors import DataError, FormatError
 
 PCA_MAGIC = b"TDFP"
-# rows that pca_transform centers at a time, so that encoding does not
-# allocate, fault in and free a centered copy of every video's frame matrix
-_TRANSFORM_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -72,13 +69,18 @@ def l2_normalize(v) -> np.ndarray:
             norms = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True))
         else:
             norms = np.abs(vec)
+    _check_norms(norms, vec)
+    return np.divide(vec, np.where(norms == 0.0, 1.0, norms), out=out)
+
+
+def _check_norms(norms: np.ndarray, vec: np.ndarray) -> None:
+    """Raise DataError unless every row norm of ``vec`` is finite."""
     # a non-finite value makes its row's norm non-finite, so only then is the
     # whole input scanned, to tell a non-finite value from an overflow
     if not np.isfinite(norms).all():
         if not np.isfinite(vec).all():
             raise DataError("cannot normalize a non-finite vector")
         raise DataError("cannot normalize a vector whose norm overflows float64")
-    return np.divide(vec, np.where(norms == 0.0, 1.0, norms), out=out)
 
 
 def pca_fit(descriptors, output_dims: int) -> PcaModel:
@@ -142,23 +144,42 @@ def pca_fit(descriptors, output_dims: int) -> PcaModel:
     return PcaModel(mean=mean, components=components, explained_variance=explained)
 
 
-def pca_transform(model: PcaModel, v) -> np.ndarray:
-    """Project one vector (or rows of a matrix) onto the fitted components.
-
-    Rows are centered and projected ``_TRANSFORM_BLOCK_ROWS`` at a time, so a
-    long video needs no centered copy of its whole frame matrix.
-    """
-    vec = np.asarray(v, dtype=np.float64)
+def _check_input_dims(model: PcaModel, vec: np.ndarray) -> None:
     if vec.shape[-1] != model.input_dims:
         raise DataError(
             f"dimension mismatch: input has {vec.shape[-1]} dims, PCA expects {model.input_dims}"
         )
-    rows = vec.reshape(-1, model.input_dims)
-    out = np.empty((len(rows), model.output_dims))
-    for start in range(0, len(rows), _TRANSFORM_BLOCK_ROWS):
-        block = slice(start, start + _TRANSFORM_BLOCK_ROWS)
-        np.matmul(rows[block] - model.mean, model.components.T, out=out[block])
-    return out.reshape(vec.shape[:-1] + (model.output_dims,))
+
+
+def pca_transform(model: PcaModel, v) -> np.ndarray:
+    """Project one vector (or rows of a matrix) onto the fitted components as
+    ``v Wᵀ − μ Wᵀ``, which makes no centered copy of the input. The encode
+    path normalizes and projects frames in one step instead, with
+    ``normalized_pca_transform``."""
+    vec = np.asarray(v, dtype=np.float64)
+    _check_input_dims(model, vec)
+    return vec @ model.components.T - model.mean @ model.components.T
+
+
+def normalized_pca_transform(model: PcaModel, frames) -> np.ndarray:
+    """``pca_transform(model, l2_normalize(frames))`` without a normalized or
+    centered copy of the frames.
+
+    Normalizing only scales a row, so each raw row is projected first and its
+    projection divided by the row's norm: ``(x/‖x‖ − μ)Wᵀ = (xWᵀ)/‖x‖ − μWᵀ``.
+    The only arrays made are the row norms and the projections. A zero row
+    gives ``−μWᵀ``. A dims mismatch raises ``pca_transform``'s DataError, and
+    a row whose norm is not finite ``l2_normalize``'s.
+    """
+    vec = np.asarray(frames, dtype=np.float64)
+    _check_input_dims(model, vec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("...i,...i->...", vec, vec))
+    _check_norms(norms, vec)
+    out = vec @ model.components.T
+    out /= np.where(norms == 0.0, 1.0, norms)[..., None]
+    out -= model.mean @ model.components.T
+    return out
 
 
 def scale_to_norm(v, target_norm: float) -> np.ndarray:

@@ -34,20 +34,6 @@ def dft_magnitude(signal) -> np.ndarray:
     return np.abs(np.fft.fft(x, axis=-1))
 
 
-def naive_dft_reference(signal) -> np.ndarray:
-    """Direct O(N^2) evaluation of the DFT magnitude; the test oracle for dft_magnitude."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise DataError("signal must be a non-empty vector")
-    if not np.all(np.isfinite(x)):
-        raise DataError("signal contains non-finite values")
-    n = x.shape[0]
-    idx = np.arange(n, dtype=np.int64)
-    phase = (idx[:, None] * idx[None, :]) % n
-    matrix = np.exp((-2j * np.pi / n) * phase)
-    return np.abs(matrix @ x)
-
-
 def _keys_inner(t: np.ndarray) -> np.ndarray:
     # cubic convolution kernel, a = -1/2, for |t| <= 1
     return (1.5 * t - 2.5) * t * t + 1.0
@@ -90,12 +76,13 @@ def cubic_resample(points, target_length: int) -> np.ndarray:
     padded[..., 1:-1] = pts
     padded[..., 0] = 2.0 * pts[..., 0] - pts[..., 1]
     padded[..., -1] = 2.0 * pts[..., -1] - pts[..., -2]
-    weights = np.stack(
-        [_keys_outer(1.0 + frac), _keys_inner(frac), _keys_inner(1.0 - frac), _keys_outer(2.0 - frac)],
-        axis=1,
-    )
-    taps = padded[..., base[:, None] + np.arange(4)[None, :]]
-    return np.sum(weights * taps, axis=-1)
+    # out = Σ_j padded[base + j] · w_j, added left to right, one L-vector per tap
+    weights = (_keys_outer(1.0 + frac), _keys_inner(frac), _keys_inner(1.0 - frac),
+               _keys_outer(2.0 - frac))
+    out = padded[..., base] * weights[0]
+    for j in range(1, 4):
+        out += padded[..., base + j] * weights[j]
+    return out
 
 
 def spectrum_of_sequence(seq: FeatureSequence, target_length: int) -> FeatureSequence:

@@ -1,15 +1,32 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's computation paths: interpolation is a
-scalar per-point loop, LLC is an iterative constrained solver, Fisher vectors
-come from finite differences of an explicit log-likelihood, and the SVM bound
-comes from subgradient descent. The SVM reference trainer runs the same dual
-coordinate descent as the library on P-length primal rows, not on the Gram
-matrix, and the Fisher loop reference accumulates one GMM component at a time
-where the library builds all components in one batched pass.
+These deliberately avoid the library's computation paths: the DFT is a direct
+O(N^2) matrix product, interpolation is a scalar per-point loop, LLC is an
+iterative constrained solver, Fisher vectors come from finite differences of an
+explicit log-likelihood, and the SVM bound comes from subgradient descent. The
+SVM reference trainer runs the same dual coordinate descent as the library on
+P-length primal rows, not on the Gram matrix, and the Fisher loop reference
+accumulates one GMM component at a time where the library builds all
+components in one batched pass.
 """
 
 import numpy as np
+
+from tdfenc.errors import DataError
+
+
+def naive_dft_reference(signal) -> np.ndarray:
+    """Direct O(N^2) evaluation of the DFT magnitude; the test oracle for dft_magnitude."""
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] < 1:
+        raise DataError("signal must be a non-empty vector")
+    if not np.all(np.isfinite(x)):
+        raise DataError("signal contains non-finite values")
+    n = x.shape[0]
+    idx = np.arange(n, dtype=np.int64)
+    phase = (idx[:, None] * idx[None, :]) % n
+    matrix = np.exp((-2j * np.pi / n) * phase)
+    return np.abs(matrix @ x)
 
 
 def squared_distances(points, centers):

@@ -32,7 +32,6 @@ from tdfenc import (
     load_pca_model,
     load_svm_model,
     load_video_vector,
-    naive_dft_reference,
     pca_fit,
     read_feature_sequence,
     run_repeated_experiment,
@@ -51,6 +50,7 @@ from oracles import (
     cubic_oracle,
     fisher_finite_difference_oracle,
     llc_projected_gradient_oracle,
+    naive_dft_reference,
     svm_subgradient_oracle,
 )
 

@@ -345,6 +345,18 @@ class TestEncodeVideo:
         with pytest.raises(DataError, match=message):
             encode_video(config, bundle, seq)
 
+    @pytest.mark.parametrize("pca_dims", [None, 3])
+    def test_overflowing_frame_names_the_video_not_the_pca_stage(self, tmp_path, pca_dims):
+        # normalization is the video's own stage, with PCA on as without it
+        manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
+        config = PipelineConfig(pca_dims=pca_dims, spectrum_length=16, seed=0)
+        bundle = fit_models(config, manifest)
+        values = np.random.default_rng(6).normal(size=(4, 30))
+        values[1, 7] = 1e200
+        message = "^clip_03: cannot normalize a vector whose norm overflows float64$"
+        with pytest.raises(DataError, match=message):
+            encode_video(config, bundle, FeatureSequence("clip_03", values))
+
     @pytest.mark.parametrize(
         "encoder,model",
         [
@@ -432,7 +444,7 @@ class TestFitModels:
     @pytest.mark.parametrize(
         "overrides,forbidden",
         [
-            (dict(pca_dims=3), ("pca_transform", "spectrum_of_sequence")),
+            (dict(pca_dims=3), ("normalized_pca_transform", "spectrum_of_sequence")),
             (dict(time_encoder="vlad", time_codebook_size=3), ("spectrum_of_sequence",)),
         ],
     )
@@ -653,7 +665,10 @@ def test_experiment_runs_the_public_layer_functions(tmp_path, monkeypatch):
 
     manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
     config = PipelineConfig(pca_dims=3, spectrum_length=16, svm_c=10.0, seed=3)
-    calls = dict.fromkeys(("pca_fit", "spectrum_of_sequence", "l2_normalize", "encode_video"), 0)
+    calls = dict.fromkeys(
+        ("pca_fit", "spectrum_of_sequence", "l2_normalize", "normalized_pca_transform",
+         "encode_video"), 0
+    )
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -671,12 +686,14 @@ def test_experiment_runs_the_public_layer_functions(tmp_path, monkeypatch):
         len(split_train_test(manifest, config.train_fraction, config.seed + r)[1].entries)
         for r in range(1, repetitions + 1)
     )
-    # with PCA each training video is normalized twice: in the streamed PCA
-    # fit and again for its reduced descriptors
+    # with PCA each training video is normalized twice: by l2_normalize in
+    # the streamed PCA fit, and by normalized_pca_transform for its reduced
+    # descriptors, which is also the one normalization of each test video
     assert calls == {
         "pca_fit": repetitions,
         "spectrum_of_sequence": videos,
-        "l2_normalize": videos + (videos - test_videos),
+        "l2_normalize": videos - test_videos,
+        "normalized_pca_transform": videos,
         "encode_video": test_videos,
     }
 
@@ -691,19 +708,26 @@ _PCA_CODEBOOK_CONFIGS = [
 
 def _reads_and_normalizations(monkeypatch, config, manifest, repetitions):
     """The ids of the videos that ``run_repeated_experiment`` reads, sorted,
-    and how many times it calls ``l2_normalize``."""
+    and how many times it normalizes a video's frames: calls of
+    ``l2_normalize`` and of ``normalized_pca_transform``."""
+    import tdfenc.pipeline as pipeline
+
     reads, normalized = [], []
 
     def counting_read(path, video_id=None):
         reads.append(video_id)
         return read_feature_sequence(path, video_id)
 
-    def counting_normalize(v):
-        normalized.append(None)
-        return l2_normalize(v)
+    def counting(normalize):
+        def wrapper(*args):
+            normalized.append(None)
+            return normalize(*args)
+
+        return wrapper
 
     monkeypatch.setattr("tdfenc.pipeline.read_feature_sequence", counting_read)
-    monkeypatch.setattr("tdfenc.pipeline.l2_normalize", counting_normalize)
+    for name in ("l2_normalize", "normalized_pca_transform"):
+        monkeypatch.setattr(f"tdfenc.pipeline.{name}", counting(getattr(pipeline, name)))
     run_repeated_experiment(config, manifest, repetitions)
     return sorted(reads), len(normalized)
 

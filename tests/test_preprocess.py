@@ -5,6 +5,7 @@ from tdfenc import (
     PcaModel,
     l2_normalize,
     load_pca_model,
+    normalized_pca_transform,
     pca_fit,
     pca_transform,
     save_pca_model,
@@ -270,6 +271,75 @@ class TestPcaTransform:
         )
         with pytest.raises(DataError):
             pca_transform(model, np.zeros(4))
+
+
+def _composed(model, frames):
+    return pca_transform(model, l2_normalize(frames))
+
+
+class TestNormalizedPcaTransform:
+    # projecting before normalizing reorders the arithmetic, so it matches the
+    # two-step transform to rounding, not bit for bit
+    ATOL = 1e-12
+
+    def test_random_frames(self):
+        rng = np.random.default_rng(20)
+        model = pca_fit(l2_normalize(rng.normal(size=(60, 12))), 5)
+        for frames in (rng.normal(size=(40, 12)) * 7.0, rng.normal(size=(12, 40)).T):
+            np.testing.assert_allclose(
+                normalized_pca_transform(model, frames), _composed(model, frames),
+                rtol=0, atol=self.ATOL,
+            )
+        vector = rng.normal(size=12)
+        np.testing.assert_allclose(
+            normalized_pca_transform(model, vector), _composed(model, vector),
+            rtol=0, atol=self.ATOL,
+        )
+
+    def test_frames_whose_normalized_rows_almost_equal_the_mean(self):
+        # the worst case for projecting before centering: x W^T / |x| and
+        # mu W^T are both O(1) and nearly cancel
+        rng = np.random.default_rng(21)
+        u = l2_normalize(rng.normal(size=16))
+        frames = 1e3 * u + 1e-3 * rng.normal(size=(80, 16))
+        model = pca_fit(l2_normalize(frames), 4)
+        expected = _composed(model, frames)
+        assert np.max(np.abs(expected)) < 1e-5
+        np.testing.assert_allclose(
+            normalized_pca_transform(model, frames), expected, rtol=0, atol=self.ATOL
+        )
+
+    def test_zero_rows_give_minus_the_projected_mean(self):
+        rng = np.random.default_rng(22)
+        model = pca_fit(l2_normalize(rng.normal(size=(30, 6))), 3)
+        frames = rng.normal(size=(5, 6))
+        frames[[0, 3]] = 0.0
+        out = normalized_pca_transform(model, frames)
+        np.testing.assert_allclose(out, _composed(model, frames), rtol=0, atol=self.ATOL)
+        np.testing.assert_allclose(
+            out[[0, 3]], np.tile(-model.mean @ model.components.T, (2, 1)), rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(1e200, "cannot normalize a vector whose norm overflows float64"),
+         (np.inf, "cannot normalize a non-finite vector"),
+         (np.nan, "cannot normalize a non-finite vector")],
+    )
+    def test_norm_errors_are_those_of_l2_normalize(self, bad, message):
+        model = pca_fit(l2_normalize(np.random.default_rng(23).normal(size=(10, 3))), 2)
+        frames = np.ones((4, 3))
+        frames[2, 1] = bad
+        for transform in (normalized_pca_transform, _composed):
+            with pytest.raises(DataError, match=f"^{message}$"):
+                transform(model, frames)
+
+    def test_dimension_mismatch_is_that_of_pca_transform(self):
+        model = pca_fit(l2_normalize(np.random.default_rng(24).normal(size=(10, 3))), 2)
+        message = "^dimension mismatch: input has 4 dims, PCA expects 3$"
+        for transform in (normalized_pca_transform, pca_transform):
+            with pytest.raises(DataError, match=message):
+                transform(model, np.ones((5, 4)))
 
 
 class TestScaleToNorm:

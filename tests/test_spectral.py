@@ -5,12 +5,11 @@ from tdfenc import (
     FeatureSequence,
     cubic_resample,
     dft_magnitude,
-    naive_dft_reference,
     spectrum_of_sequence,
 )
 from tdfenc.errors import DataError
 
-from oracles import cubic_oracle
+from oracles import cubic_oracle, naive_dft_reference
 
 
 class TestDftMagnitude:
