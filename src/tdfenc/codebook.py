@@ -16,10 +16,12 @@ GMM_MAGIC = b"TDFG"
 # relative floor on per-dimension variances, scaled by the mean data variance
 VARIANCE_FLOOR_SCALE = 1e-6
 
-# rows scored per block by _nearest_labels: one block-sized score buffer is
-# reused, so no N x K matrix is allocated. At K=256, d=16 on one BLAS thread,
-# 512 rows beat 64-256 and 1024-2048 (7.8 ms per 12,778 rows against 8.3-10.5 ms)
-_LABEL_BLOCK_ROWS = 512
+# scores per block of _nearest_labels: one block-sized score buffer (1 MiB) is
+# reused, so no N x K matrix is allocated. That is 512 rows at K=256, which on
+# one BLAS thread at d=16 beat 64-256 and 1024-2048 rows (7.8 ms per 12,778
+# rows against 8.3-10.5 ms), and 8,192 rows at K=16, where 512-row blocks were
+# mostly per-block overhead
+_LABEL_BLOCK_ELEMENTS = 1 << 17
 
 
 # an overflow shows up as a non-finite chosen score, which raises DataError below
@@ -35,27 +37,47 @@ def _nearest_labels(points: np.ndarray, centers: np.ndarray, k: int | None = Non
     ``‖x‖²``, which is the same for every center of a row, so dropping it (and
     the clamp at zero that only guards its cancellation) leaves each row's
     order unchanged. Multiplying by −2 only changes the sign and exponent, so
-    ``block @ (−2·centersᵀ)`` equals ``−2·(x·c)`` bit for bit. Rows are
-    scored one block at a time into one reused buffer, so no N x K matrix is
-    allocated. The ``k`` nearest are taken by ``k`` successive row-wise
-    ``argmin``s, each masking its pick with +inf, which lists them in
-    (score, index) order: ``np.argsort(scores, kind="stable")[:, :k]``.
-    Raises ``DataError`` when a chosen score is not finite, that is, when
-    distances overflow float64 (a real +inf would collide with the mask).
+    ``block @ (−2·centersᵀ)`` equals ``−2·(x·c)`` bit for bit.
+
+    ``points`` are either raw d-vectors or lifted ones, ``[x | 1]``, with one
+    more column than ``centers`` whose entries are all 1. Raw points are
+    scored by a matmul and then ``scores += ‖c‖²``, a second pass over every
+    score. Lifted points are scored by the one matmul ``[x | 1] @ [−2Cᵀ ; ‖c‖²]``,
+    which adds ``1·‖c‖²`` as the last term of each dot product. When the BLAS
+    accumulates a dot product in order (one k-block; d=16 and d=200 on
+    OpenBLAS 0.3.31), that is the raw score bit for bit; past one k-block
+    (d=500 there) the sum is split and the two differ at rounding level, so
+    a label can change only where two centers tie to within rounding. Lifting
+    copies the points, which costs more than the add pass it saves once d is
+    large, so only ``kmeans_fit``, which scores the same points at every
+    iteration, lifts them, once per fit; one-shot callers pass raw points.
+
+    Rows are scored one block of at most ``_LABEL_BLOCK_ELEMENTS`` scores at a
+    time into one reused buffer, so no N x K matrix is allocated. The ``k``
+    nearest are taken by ``k`` successive row-wise ``argmin``s, each masking
+    its pick with +inf, which lists them in (score, index) order:
+    ``np.argsort(scores, kind="stable")[:, :k]``. Raises ``DataError`` when a
+    chosen score is not finite, that is, when distances overflow float64 (a
+    real +inf would collide with the mask).
     """
     num_points, num_centers = points.shape[0], centers.shape[0]
+    lifted = points.shape[1] == centers.shape[1] + 1
     sq_centers = np.sum(centers * centers, axis=1)
     scaled = -2.0 * centers.T
+    if lifted:
+        scaled = np.vstack([scaled, sq_centers])
+    block_rows = max(1, _LABEL_BLOCK_ELEMENTS // num_centers)
     labels = np.empty((num_points, 1 if k is None else k), dtype=np.intp)
-    buf = np.empty((min(num_points, _LABEL_BLOCK_ROWS), num_centers))
+    buf = np.empty((min(num_points, block_rows), num_centers))
     # flat index in buf of each row's first score: one picked score per row is
     # read and masked through np.take and np.put, which cost less than 2-D indexing
     row_starts = np.arange(0, buf.size, num_centers)
-    for start in range(0, num_points, _LABEL_BLOCK_ROWS):
-        block = points[start : start + _LABEL_BLOCK_ROWS]
+    for start in range(0, num_points, block_rows):
+        block = points[start : start + block_rows]
         scores = buf[: block.shape[0]]
         np.matmul(block, scaled, out=scores)
-        scores += sq_centers
+        if not lifted:
+            scores += sq_centers
         for j in range(labels.shape[1]):
             picked = labels[start : start + block.shape[0], j]
             np.argmin(scores, axis=1, out=picked)
@@ -184,12 +206,12 @@ class GmmModel:
 @np.errstate(over="ignore", invalid="ignore")
 def _kmeans_pp_init(data: np.ndarray, num_words: int, rng: np.random.Generator) -> np.ndarray:
     m = data.shape[0]
-    doubled = 2.0 * data
     sq_norms = np.sum(data * data, axis=1)
 
     def sq_distances_to(j: int) -> np.ndarray:
-        # squared distances from every row to row j, reusing the row norms
-        return np.maximum((sq_norms + sq_norms[j]) - (doubled @ data[j : j + 1].T)[:, 0], 0.0)
+        # squared distances from every row to row j, reusing the row norms;
+        # doubling row j instead of the data is exact, so the product is the same
+        return np.maximum((sq_norms + sq_norms[j]) - (data @ (2.0 * data[j : j + 1].T))[:, 0], 0.0)
 
     chosen = [int(rng.integers(m))]
     min_sq = sq_distances_to(chosen[-1])
@@ -250,6 +272,10 @@ def kmeans_fit(
     descriptors are a non-empty, finite M x d matrix of at least ``num_words``
     rows, when ``num_words`` or ``max_iters`` is not positive, and when
     distances overflow float64.
+
+    Besides the descriptors, the fit holds one lifted copy of them, ``[x | 1]``
+    (M x (d+1)), made once, so that each Lloyd step ranks the centroids in one
+    matmul per block of ``_nearest_labels`` with no separate add pass.
     """
     data = _descriptor_matrix(descriptors)
     if num_words < 1:
@@ -258,11 +284,14 @@ def kmeans_fit(
         raise DataError(f"need at least {num_words} descriptors, got {data.shape[0]}")
     if max_iters < 1:
         raise DataError(f"max_iters must be positive, got {max_iters}")
+    lifted = np.empty((data.shape[0], data.shape[1] + 1))
+    lifted[:, :-1] = data
+    lifted[:, -1] = 1.0
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(data, num_words, rng)
     labels = None
     for _ in range(max_iters):
-        new_labels = _nearest_labels(data, centroids)
+        new_labels = _nearest_labels(lifted, centroids)
         new_labels = _repair_empty_clusters(data, centroids, new_labels)
         if trace is not None:
             trace.append(float(np.sum((data - centroids[new_labels]) ** 2)))

@@ -7,7 +7,9 @@ explicit log-likelihood, and the SVM bound comes from subgradient descent. The
 SVM reference trainer runs the same dual coordinate descent as the library on
 P-length primal rows, not on the Gram matrix, and the Fisher loop reference
 accumulates one GMM component at a time where the library builds all
-components in one batched pass.
+components in one batched pass. The K-means reference is a plain Lloyd loop
+over the full distance matrix, with ``rng.choice`` draws for its k-means++
+start and ``np.add.at`` for its centroid sums.
 """
 
 import numpy as np
@@ -38,6 +40,51 @@ def squared_distances(points, centers):
         - 2.0 * points @ centers.T
     )
     return np.maximum(sq, 0.0)
+
+
+def kmeans_pp_reference(data, num_words, rng):
+    """k-means++ seeding as a plain loop over rng.choice with explicit probabilities;
+    when every remaining point coincides with a chosen one, the lowest free index."""
+    m = data.shape[0]
+    chosen = [int(rng.integers(m))]
+    min_sq = squared_distances(data, data[chosen[-1]][None, :])[:, 0]
+    for _ in range(num_words - 1):
+        total = float(min_sq.sum())
+        if total <= 0.0:
+            nxt = min(set(range(m)) - set(chosen))
+        else:
+            nxt = int(rng.choice(m, p=min_sq / total))
+        chosen.append(nxt)
+        min_sq = np.minimum(min_sq, squared_distances(data, data[nxt][None, :])[:, 0])
+    return data[chosen]
+
+
+def kmeans_reference(data, num_words, seed, max_iters):
+    """Lloyd's algorithm as a plain loop: the seeded k-means++ start above, then
+    per iteration the argmin of the full distance matrix, each cluster that
+    argmin leaves empty reseated on the point farthest from its own centroid,
+    and centroids from ``np.add.at`` sums. Stops when the labels repeat or
+    after ``max_iters`` iterations. Returns the centroids and the number of
+    iterations run."""
+    centroids = kmeans_pp_reference(data, num_words, np.random.default_rng(seed)).copy()
+    labels = None
+    for iteration in range(1, max_iters + 1):
+        new_labels = np.argmin(squared_distances(data, centroids), axis=1)
+        own_sq = np.sum((data - centroids[new_labels]) ** 2, axis=1)
+        empty = [k for k in range(num_words) if not np.any(new_labels == k)]
+        for k in empty:
+            farthest = int(np.argmax(own_sq))
+            centroids[k] = data[farthest]
+            new_labels[farthest] = k
+            own_sq[farthest] = -np.inf
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, data)
+        counts = np.bincount(labels, minlength=num_words)
+        centroids = sums / counts[:, None]
+    return centroids, iteration
 
 
 def keys_kernel(t):

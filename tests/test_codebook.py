@@ -25,14 +25,47 @@ from tdfenc import binio
 from tdfenc.codebook import (
     CODEBOOK_MAGIC,
     VARIANCE_FLOOR_SCALE,
-    _LABEL_BLOCK_ROWS,
+    _LABEL_BLOCK_ELEMENTS,
     _kmeans_pp_init,
     _nearest_labels,
     _repair_empty_clusters,
 )
 from tdfenc.errors import DataError
 
-from oracles import squared_distances
+from oracles import kmeans_pp_reference, kmeans_reference, squared_distances
+
+
+def _block_rows(num_centers):
+    """Rows per block of _nearest_labels at K centers: its score budget over K."""
+    return max(1, _LABEL_BLOCK_ELEMENTS // num_centers)
+
+
+def _grid_ties():
+    """Half-integer points among a 4 x 4 grid of centers, then the grid points
+    themselves, and their exact squared distances to the centers. Each
+    half-integer point has 4 centers at one distance and the next ring of 8 at
+    another, and every score is exact in floating point."""
+    grid = np.array([[i, j] for i in range(4) for j in range(4)], dtype=np.float64)
+    points = np.array([[i + 0.5, j + 0.5] for i in range(3) for j in range(3)])
+    points = np.vstack([points, grid[::-1]])
+    exact = np.sum((points[:, None, :] - grid[None, :, :]) ** 2, axis=2)
+    return points, grid, exact
+
+
+_OVERFLOW_CASES = [
+    # −2·x·c overflows to −inf, the lowest score
+    (np.array([[1e200]]), np.array([[1e120], [0.0]]), None),
+    # ‖c‖² overflows to +inf as well, so the score is NaN
+    (np.array([[1e200]]), np.array([[1e160], [0.0]]), None),
+    # ‖c‖² of the far center is +inf, which the +inf mask would mistake
+    # for an unpicked center and return center 0 twice
+    (np.array([[0.0, 0.0]]), np.array([[0.0, 1.0], [1e200, 0.0]]), 2),
+]
+
+
+def _lift(points):
+    """Points in the homogeneous form kmeans_fit scores, [x | 1]."""
+    return np.hstack([points, np.ones((points.shape[0], 1))])
 
 
 class TestKmeans:
@@ -70,6 +103,34 @@ class TestKmeans:
         a = kmeans_fit(data, 5, seed=9)
         b = kmeans_fit(data, 5, seed=9)
         np.testing.assert_array_equal(a.centroids, b.centroids)
+
+    @pytest.mark.parametrize("max_iters", [100, 4])
+    def test_trajectory_equals_plain_lloyd_loop(self, max_iters):
+        # twelve blobs, 64 words: 14 iterations to converge, so 4 is at the cap
+        rng = np.random.default_rng(0)
+        blobs = 4.0 * rng.normal(size=(12, 8))
+        data = rng.normal(size=(1500, 8)) + blobs[rng.integers(12, size=1500)]
+        trace = []
+        got = kmeans_fit(data, 64, seed=0, max_iters=max_iters, trace=trace)
+        expected, iterations = kmeans_reference(data, 64, 0, max_iters)
+        assert iterations == min(max_iters, 14)
+        assert len(trace) == iterations
+        np.testing.assert_array_equal(got.centroids, expected)
+
+    def test_fit_holds_one_lifted_copy(self):
+        # staged-llc's d and K: an N x K score matrix (2 M floats) would exceed
+        # the bound four times over
+        n, d, num_words = 8_000, 16, 256
+        data = np.random.default_rng(3).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            kmeans_fit(data, num_words, seed=1, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the lifted copy [x | 1], the flat index of _row_sums, one block of
+        # scores, and a few N-vectors (labels, row norms, k-means++ weights)
+        assert peak <= 8 * (n * (d + 1) + n * d + _LABEL_BLOCK_ELEMENTS + 8 * n)
 
     def test_empty_cluster_repair_takes_farthest_point(self):
         data = np.array([[0.0], [0.1], [0.2], [50.0]])
@@ -109,42 +170,27 @@ class TestKmeans:
                 kmeans_fit(data, 2, seed=0)
 
 
-def _reference_pp_init(data, num_words, rng):
-    """k-means++ seeding as a plain loop over rng.choice with explicit probabilities."""
-    m = data.shape[0]
-    chosen = [int(rng.integers(m))]
-    min_sq = squared_distances(data, data[chosen[-1]][None, :])[:, 0]
-    for _ in range(num_words - 1):
-        total = float(min_sq.sum())
-        if total <= 0.0:
-            nxt = min(set(range(m)) - set(chosen))
-        else:
-            nxt = int(rng.choice(m, p=min_sq / total))
-        chosen.append(nxt)
-        min_sq = np.minimum(min_sq, squared_distances(data, data[nxt][None, :])[:, 0])
-    return data[chosen]
-
-
 class TestKmeansPlusPlusInit:
     @pytest.mark.parametrize("seed", [1, 2, 101])
     @pytest.mark.parametrize("shape,num_words", [((500, 16), 64), ((300, 40), 16), ((50, 2), 50)])
     def test_draws_equal_rng_choice(self, seed, shape, num_words):
         data = np.random.default_rng(seed).normal(size=shape)
-        expected = _reference_pp_init(data, num_words, np.random.default_rng(seed))
+        expected = kmeans_pp_reference(data, num_words, np.random.default_rng(seed))
         got = _kmeans_pp_init(data, num_words, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, expected)
 
     def test_coinciding_points_take_lowest_free_index(self):
         data = np.repeat(np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 5.0]]), 4, axis=0)
         for seed in range(5):
-            expected = _reference_pp_init(data, 6, np.random.default_rng(seed))
+            expected = kmeans_pp_reference(data, 6, np.random.default_rng(seed))
             got = _kmeans_pp_init(data, 6, np.random.default_rng(seed))
             np.testing.assert_array_equal(got, expected)
 
 
 class TestNearestLabels:
+    # the block boundary at K=256; TestLiftedPoints covers every K's boundary
     @pytest.mark.parametrize(
-        "num_points", [1, _LABEL_BLOCK_ROWS - 1, _LABEL_BLOCK_ROWS, _LABEL_BLOCK_ROWS + 1]
+        "num_points", [1, _block_rows(256) - 1, _block_rows(256), _block_rows(256) + 1]
     )
     @pytest.mark.parametrize("num_centers", [1, 16, 256])
     def test_matches_argmin_of_squared_distances(self, num_points, num_centers):
@@ -157,16 +203,14 @@ class TestNearestLabels:
     def test_ties_break_to_lowest_index(self):
         # every half-integer point is equidistant from the 4 grid corners
         # around it, and every score is exact in floating point
-        grid = np.array([[i, j] for i in range(4) for j in range(4)], dtype=np.float64)
-        points = np.array([[i + 0.5, j + 0.5] for i in range(3) for j in range(3)])
-        points = np.vstack([points, grid[::-1]])
-        exact = np.sum((points[:, None, :] - grid[None, :, :]) ** 2, axis=2)
+        points, grid, exact = _grid_ties()
         expected = np.argmin(exact, axis=1)
         assert np.sum(exact[:9] == exact[:9].min(axis=1, keepdims=True)) == 36
         np.testing.assert_array_equal(_nearest_labels(points, grid), expected)
 
+    # the block boundary at K=256; TestLiftedPoints covers every K's boundary
     @pytest.mark.parametrize(
-        "num_points", [1, _LABEL_BLOCK_ROWS - 1, _LABEL_BLOCK_ROWS, _LABEL_BLOCK_ROWS + 1]
+        "num_points", [1, _block_rows(256) - 1, _block_rows(256), _block_rows(256) + 1]
     )
     @pytest.mark.parametrize("num_centers", [16, 256])
     @pytest.mark.parametrize("k", [1, 2, 5, "all"])
@@ -184,30 +228,61 @@ class TestNearestLabels:
     def test_k_nearest_ties_break_to_lowest_index(self, k):
         # each half-integer point has 4 grid corners at one exact distance, the
         # next ring of 8 at another, so ties straddle the k-th place
-        grid = np.array([[i, j] for i in range(4) for j in range(4)], dtype=np.float64)
-        points = np.array([[i + 0.5, j + 0.5] for i in range(3) for j in range(3)])
-        points = np.vstack([points, grid[::-1]])
-        exact = np.sum((points[:, None, :] - grid[None, :, :]) ** 2, axis=2)
+        points, grid, exact = _grid_ties()
         expected = np.argsort(exact, axis=1, kind="stable")[:, :k]
         np.testing.assert_array_equal(_nearest_labels(points, grid, k), expected)
 
-    @pytest.mark.parametrize(
-        "points, centers, k",
-        [
-            # −2·x·c overflows to −inf, the lowest score
-            (np.array([[1e200]]), np.array([[1e120], [0.0]]), None),
-            # ‖c‖² overflows to +inf as well, so the score is NaN
-            (np.array([[1e200]]), np.array([[1e160], [0.0]]), None),
-            # ‖c‖² of the far center is +inf, which the +inf mask would mistake
-            # for an unpicked center and return center 0 twice
-            (np.array([[0.0, 0.0]]), np.array([[0.0, 1.0], [1e200, 0.0]]), 2),
-        ],
-    )
+    @pytest.mark.parametrize("points, centers, k", _OVERFLOW_CASES)
     def test_overflowing_scores_raise_without_warnings(self, points, centers, k):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="descriptor distances overflow float64"):
                 _nearest_labels(points, centers, k)
+
+
+# (num_points, d, K, k): K above d, K below d, d past one BLAS k-block, and
+# for each K the rows around its block boundary; k is 1, 2, 5 and all K
+_LIFTED_CASES = [
+    (num_points, d, num_centers, k)
+    for num_points, d, num_centers in [(700, 16, 256), (700, 200, 16), (700, 600, 32)]
+    + [
+        (rows, 8, num_centers)
+        for num_centers in (1, 16, 256)
+        for rows in (_block_rows(num_centers) + offset for offset in (-1, 0, 1))
+    ]
+    for k in sorted({min(k, num_centers) for k in (1, 2, 5, num_centers)})
+]
+
+
+class TestLiftedPoints:
+    """The homogeneous form kmeans_fit passes: points [x | 1] are scored by one
+    matmul against [−2Cᵀ ; ‖c‖²] and rank centers as the raw points do."""
+
+    @pytest.mark.parametrize("num_points, d, num_centers, k", _LIFTED_CASES)
+    def test_k_nearest_equal_raw_and_stable_argsort(self, num_points, d, num_centers, k):
+        rng = np.random.default_rng(num_points * 1000 + d * 10 + num_centers + k)
+        points = rng.normal(size=(num_points, d))
+        centers = rng.normal(size=(num_centers, d))
+        expected = np.argsort(squared_distances(points, centers), axis=1, kind="stable")[:, :k]
+        lifted = _nearest_labels(_lift(points), centers, k)
+        np.testing.assert_array_equal(lifted, _nearest_labels(points, centers, k))
+        np.testing.assert_array_equal(lifted, expected)
+        if k == 1:
+            np.testing.assert_array_equal(_nearest_labels(_lift(points), centers), expected[:, 0])
+
+    @pytest.mark.parametrize("k", [None, 2, 3, 4, 5, 9, 16])
+    def test_ties_break_to_lowest_index(self, k):
+        points, grid, exact = _grid_ties()
+        expected = np.argsort(exact, axis=1, kind="stable")[:, : 1 if k is None else k]
+        got = _nearest_labels(_lift(points), grid, k)
+        np.testing.assert_array_equal(got, expected[:, 0] if k is None else expected)
+
+    @pytest.mark.parametrize("points, centers, k", _OVERFLOW_CASES)
+    def test_overflowing_scores_raise_without_warnings(self, points, centers, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="descriptor distances overflow float64"):
+                _nearest_labels(_lift(points), centers, k)
 
 
 class TestAssignNearest:
@@ -438,7 +513,8 @@ class TestValidation:
         finally:
             tracemalloc.stop()
         # one block of scores plus the K x 2 neighbours and their differences
-        assert peak <= 8 * (_LABEL_BLOCK_ROWS * 4096 + 4096 * 2 * (8 + 4)) < 4096**2 * 8 / 4
+        block = _block_rows(4096) * 4096
+        assert peak <= 8 * (block + 4096 * 2 * (8 + 4)) < 4096**2 * 8 / 4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_centroid_distances_rejected_without_warnings(self, tmp_path):

@@ -19,7 +19,7 @@ from tdfenc import (
     save_video_vector,
     vlad_encode,
 )
-from tdfenc.codebook import _LABEL_BLOCK_ROWS, _nearest_labels
+from tdfenc.codebook import _LABEL_BLOCK_ELEMENTS, _nearest_labels
 from tdfenc.encode import _FISHER_BLOCK_ELEMENTS
 from tdfenc.errors import DataError
 
@@ -211,7 +211,8 @@ class TestLlc:
             tracemalloc.stop()
         # one block of scores, then per row its k labels, k x d shifted
         # codewords, k x k local system, and the k-long right side, solution and code
-        bound = 8 * (_LABEL_BLOCK_ROWS * num_words + n * k * (d + k + 4))
+        block = max(1, _LABEL_BLOCK_ELEMENTS // num_words) * num_words
+        bound = 8 * (block + n * k * (d + k + 4))
         assert bound <= 32 * 2**20 < n * num_words * 8
         assert peak <= bound
 
