@@ -74,7 +74,6 @@ from .spectral import (
 )
 from .svm import (
     LinearSvmModel,
-    hinge_objective,
     load_svm_model,
     predict,
     save_svm_model,

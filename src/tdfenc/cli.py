@@ -17,6 +17,7 @@ from .encode import load_video_vector, save_video_vector
 from .pipeline import (
     _encode_manifest,
     _repetition_split,
+    _Videos,
     evaluate,
     fit_models,
     generate_synthetic_dataset,
@@ -45,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _positive_int(text: str) -> int:
+    """An argument that must be an integer of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _load_pairs(index_path, dims: int | None = None):
@@ -105,7 +117,7 @@ def _cmd_encode(args) -> int:
     manifest = read_manifest(args.manifest)
     bundle = load_bundle(config, args.bundle)
     # encode every video before writing any, so a failing video leaves no output
-    pairs = _encode_manifest(config, bundle, manifest)
+    pairs = _encode_manifest(config, bundle, _Videos(manifest))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     index_entries = []
@@ -169,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="repeated split/fit/encode/train/evaluate experiment")
     p.add_argument("--config", required=True, help="pipeline config file")
     p.add_argument("--manifest", required=True, help="dataset manifest")
-    p.add_argument("--repeat", type=int, default=10, help="number of repetitions")
+    p.add_argument("--repeat", type=_positive_int, default=10, help="number of repetitions")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("fit", help="split the dataset and fit preprocessing/encoder models")

@@ -12,14 +12,15 @@ spectrum branch first maps the sequence to per-dimension magnitude spectra of
 descriptors read from that matrix; ``dft_pool_axis`` selects whether one
 descriptor is a frequency-bin column or a per-dimension spectral profile row.
 Branch vectors are scaled to configured norms and concatenated (``fuse``); a
-one-vs-rest linear SVM is trained on the fused vectors. ``encode_video`` is
-the one per-video encode path for test videos and CLI ``encode``.
+one-vs-rest linear SVM is trained on the fused vectors. ``fit_models`` is the
+one fit and ``encode_video`` the one per-video encode path: ``run`` is the CLI
+stages in one process, fit, then encode every training and test video.
 
 Videos are read from disk one at a time and never all held. The PCA fit
-streams the training videos into ``pca_fit``; with PCA on, a training video
-is read a second time for its reduced descriptors. Fit memory is bounded by
-the D x D PCA scatter, one video, the codebook branches' descriptors and the
-pooled vectors, not by the number of training frames.
+streams the training videos into ``pca_fit``; if a branch fits a codebook or
+mixture, the fit reads them once more for that branch's descriptors. Fit
+memory is bounded by the D x D PCA scatter, one video and the codebook
+branches' descriptors, not by the number of training frames.
 """
 
 from __future__ import annotations
@@ -427,9 +428,9 @@ def _check_bundle(config: PipelineConfig, bundle: ModelBundle) -> None:
 def _descriptor_sets(
     config: PipelineConfig, pca: PcaModel | None, video_id: str, frames: np.ndarray, branches
 ) -> dict[str, np.ndarray]:
-    """Descriptor set (one descriptor per row) of each named branch, from a
-    video's raw frames (frames x dims): unit-normalized, and PCA-reduced if
-    PCA is on."""
+    """Descriptor set (one descriptor per row) of each named branch, time
+    branch first, from a video's raw frames (frames x dims): unit-normalized,
+    and PCA-reduced if PCA is on."""
     if config.pca_dims is None:
         frames = l2_normalize(frames)
     else:
@@ -442,27 +443,6 @@ def _descriptor_sets(
         spectrum = spectrum_of_sequence(FeatureSequence(video_id, frames.T), config.spectrum_length)
         sets["dft"] = spectrum.values.T if config.dft_pool_axis == "frequency" else spectrum.values
     return sets
-
-
-def _pooled(config: PipelineConfig, bundle: ModelBundle, video_id: str, sets) -> dict:
-    """Each branch's descriptor set pooled by its encoder, as a map from branch
-    to vector; an error names the video and the branch."""
-    vectors = {}
-    with _naming(video_id):
-        for branch, descriptors in sets.items():
-            with _naming(f"{branch} branch"):
-                vectors[branch] = _ENCODERS[getattr(config, f"{branch}_encoder")].pool(
-                    config, getattr(bundle, f"{branch}_model"), descriptors, branch
-                )
-    return vectors
-
-
-def _fused(config: PipelineConfig, video_id: str, vectors: dict) -> VideoVector:
-    """The branch vectors, time branch first, scaled to their configured norms
-    and concatenated; an error names the video."""
-    with _naming(video_id):
-        return fuse([(vectors[b], getattr(config, f"fusion_{b}_norm")) for b in _BRANCHES
-                     if b in vectors])
 
 
 class _Videos:
@@ -499,14 +479,17 @@ class _Videos:
             raise
 
 
-def _fit(config: PipelineConfig, manifest: DatasetManifest, branches: dict):
-    """Fit the bundle (see ``fit_models``). Also return the videos' dims and,
-    per video, (entry, vectors, sets) for the branches named in ``branches``,
-    a map from branch to its model class: ``vectors`` holds each average
-    branch's pooled vector, ``sets`` each codebook branch's descriptor set.
+def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle:
+    """Fit the optional PCA and any branch codebooks/GMMs on training videos.
 
-    PCA is fitted on one streamed read of the videos. The descriptors need a
-    second read when PCA is on, since they are PCA-reduced.
+    PCA is ``pca_fit`` on every unit-normalized training frame, streamed one
+    video at a time, so fit memory is bounded by the D x D scatter, one video
+    and one row sum per video, not by the number of frames. Branch models are
+    fitted on that branch's descriptors from the training videos only, with
+    separate seeds per branch; only the codebook branches' descriptor sets are
+    built and held, and they are dropped on return. A video is read once for
+    PCA and once for the codebook descriptors, each only if needed: twice with
+    PCA and a codebook, never with neither.
     """
     videos, pca = _Videos(manifest), None
     if config.pca_dims is not None:
@@ -516,44 +499,21 @@ def _fit(config: PipelineConfig, manifest: DatasetManifest, branches: dict):
             if exc is videos.error:
                 raise
             raise DataError(f"pca stage: {exc}") from None
-        if not branches:
-            return ModelBundle(pca), videos.dims, []
-    held = []
-    for e in manifest.entries:
-        # the frames are passed on, not kept, so no video outlives its turn
-        sets = _descriptor_sets(config, pca, e.video_id, videos.read(e).values.T, branches)
-        # average pooling needs no fitted model, so those branches pool now
-        average = {b: s for b, s in sets.items() if branches[b] is None}
-        codebook = {b: s for b, s in sets.items() if branches[b] is not None}
-        held.append((e, _pooled(config, ModelBundle(), e.video_id, average), codebook))
+    branches = {b: cls for b, cls in _branch_models(config).items() if cls is not None}
+    if not branches:
+        return ModelBundle(pca)
+    # the frames are passed on, not kept, so no video outlives its turn
+    sets = [_descriptor_sets(config, pca, e.video_id, videos.read(e).values.T, branches)
+            for e in manifest.entries]
     models = {}
     for branch, cls in branches.items():
-        if cls is not None:
-            descriptors = np.vstack([kept[branch] for _, _, kept in held])
-            seed = config.seed + _FIT_SEED_OFFSETS[branch]
-            with _naming(f"{branch} branch"):
-                models[f"{branch}_model"] = _MODEL_KINDS[cls].fit(
-                    config, descriptors, config.codebook_size(branch), seed
-                )
-    return ModelBundle(pca, **models), videos.dims, held
-
-
-def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle:
-    """Fit the optional PCA and any branch codebooks/GMMs on training videos.
-
-    PCA is ``pca_fit`` on every unit-normalized training frame, streamed one
-    video at a time, so fit memory is bounded by the D x D scatter, one video
-    and one row sum per video, not by the number of frames. Branch models are
-    fitted on that branch's descriptors from the training videos only, with
-    separate seeds per branch; only those descriptor sets are held, and they
-    are dropped on return. A video is read once for PCA and once for the
-    codebook descriptors, each only if needed: twice with PCA and a codebook,
-    never with neither.
-    """
-    branches = {b: cls for b, cls in _branch_models(config).items() if cls is not None}
-    if config.pca_dims is None and not branches:
-        return ModelBundle()
-    return _fit(config, manifest, branches)[0]
+        descriptors = np.vstack([s[branch] for s in sets])
+        seed = config.seed + _FIT_SEED_OFFSETS[branch]
+        with _naming(f"{branch} branch"):
+            models[f"{branch}_model"] = _MODEL_KINDS[cls].fit(
+                config, descriptors, config.codebook_size(branch), seed
+            )
+    return ModelBundle(pca, **models)
 
 
 def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequence) -> VideoVector:
@@ -562,15 +522,23 @@ def encode_video(config: PipelineConfig, bundle: ModelBundle, seq: FeatureSequen
     The bundle is checked against the config first. Frames are unit-normalized
     by ``l2_normalize``, or with PCA on normalized and reduced in one step by
     ``normalized_pca_transform``. Then each enabled branch pools its descriptor
-    set and the branch vectors are scaled to the configured norms and
-    concatenated. An error names the video.
+    set, and the branch vectors, time branch first, are scaled to their
+    configured norms and concatenated. An error names the video, and the
+    branch if pooling raised it.
     """
     with _naming(seq.video_id):
         _check_bundle(config, bundle)
         sets = _descriptor_sets(
             config, bundle.pca, seq.video_id, seq.values.T, _branch_models(config)
         )
-    return _fused(config, seq.video_id, _pooled(config, bundle, seq.video_id, sets))
+        scaled = []
+        for branch, descriptors in sets.items():
+            with _naming(f"{branch} branch"):
+                vector = _ENCODERS[getattr(config, f"{branch}_encoder")].pool(
+                    config, getattr(bundle, f"{branch}_model"), descriptors, branch
+                )
+            scaled.append((vector, getattr(config, f"fusion_{branch}_norm")))
+        return fuse(scaled)
 
 
 @dataclass(frozen=True)
@@ -611,10 +579,13 @@ class ExperimentResult:
 
 
 def _encode_manifest(
-    config: PipelineConfig, bundle: ModelBundle, manifest: DatasetManifest, dims: int | None = None
+    config: PipelineConfig, bundle: ModelBundle, videos: _Videos
 ) -> list[tuple[VideoVector, int]]:
-    videos = _Videos(manifest, dims)
-    return [(encode_video(config, bundle, videos.read(e)), e.label) for e in manifest.entries]
+    """(vector, label) of every video, each read and passed to ``encode_video``
+    in turn: the one encode loop of ``run`` and CLI ``encode``. Only the
+    vectors are kept, and every video must have ``videos.dims``."""
+    entries = videos.manifest.entries
+    return [(encode_video(config, bundle, videos.read(e)), e.label) for e in entries]
 
 
 def _repetition_split(config: PipelineConfig, manifest: DatasetManifest, r: int):
@@ -627,36 +598,30 @@ def run_repeated_experiment(
 ) -> ExperimentResult:
     """Repeat split/fit/encode/train/evaluate; run r splits with seed + r.
 
-    Each repetition reads every test video once and every training video
-    once, or twice with PCA: the PCA fit streams the training videos, and
-    their PCA-reduced descriptors need a second read. That read pools the
-    average branches at once and keeps descriptor sets only for codebook
-    branches until those are fitted, so fit memory is bounded by the PCA
-    scatter, one video, the codebook descriptors and the pooled vectors.
-    Nothing is kept from one repetition to the next. Test videos are read and
-    encoded one at a time and must have the training videos' dims.
+    Each repetition is the CLI stages in one process: ``fit_models`` on the
+    training videos, ``encode_video`` on every training video, the SVM, then
+    ``encode_video`` on every test video, which must have the training videos'
+    dims. So each test video is read once, and each training video once to
+    encode it, once more for the PCA fit and once more for the codebook
+    descriptors, each only if needed. Nothing is kept from one repetition to
+    the next.
     """
     if repetitions < 1:
         raise DataError(f"repetitions must be positive, got {repetitions}")
     reports = []
     for r in range(1, repetitions + 1):
         train_manifest, test_manifest = _repetition_split(config, manifest, r)
-        bundle, dims, held = _fit(config, train_manifest, _branch_models(config))
-        train_pairs = [
-            (_fused(config, e.video_id, {**vectors, **_pooled(config, bundle, e.video_id, sets)}),
-             e.label)
-            for e, vectors, sets in held
-        ]
-        del held  # pooled; kept neither through training nor into the next fit
+        bundle = fit_models(config, train_manifest)
+        train = _Videos(train_manifest)
         model = train_linear_svm(
-            train_pairs,
+            _encode_manifest(config, bundle, train),
             manifest.num_classes,
             config.svm_c,
             config.svm_max_epochs,
             config.svm_tol,
             seed=config.seed,
         )
-        test_pairs = _encode_manifest(config, bundle, test_manifest, dims)
+        test_pairs = _encode_manifest(config, bundle, _Videos(test_manifest, train.dims))
         reports.append(evaluate(model, test_pairs))
     mean = float(np.mean([rep.overall_accuracy for rep in reports]))
     return ExperimentResult(reports=tuple(reports), mean_overall_accuracy=mean)

@@ -5,7 +5,7 @@ Each class c gets a binary subproblem minimizing
 class c and -1 otherwise. The dual solved is that of inputs augmented with a
 constant-1 coordinate, where b carries the same (negligible at this scale)
 regularization as w; the objective recorded and used to pick the best iterate
-(``hinge_objective``) is the one above, which leaves b out.
+is the primal above, which leaves b out of the regularizer.
 """
 
 from __future__ import annotations
@@ -57,17 +57,6 @@ def _vector_of(x) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def hinge_objective(weights, bias: float, penalty: float, inputs, targets) -> float:
-    """Regularized hinge loss: 0.5*||w||^2 + C * sum_i max(1 - y_i*(w.x_i + b), 0)."""
-    w = np.asarray(weights, dtype=np.float64)
-    data = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != w.shape[0]:
-        raise DataError("inputs must be a T x P matrix matching the weight length")
-    margins = y * (data @ w + bias)
-    return float(0.5 * np.dot(w, w) + penalty * np.sum(np.maximum(1.0 - margins, 0.0)))
-
-
 def _train_binary(
     gram: np.ndarray,
     targets: np.ndarray,
@@ -83,7 +72,7 @@ def _train_binary(
     is regularized like w. With ``beta = y*alpha``, ``w = X^T beta``, b is the
     running ``sum(beta)`` and ``scores = gram @ beta`` gains one row of gram per
     alpha that moves. The primal can swing between epochs, so the iterate
-    returned is the one with the lowest ``hinge_objective``, which leaves b out.
+    returned is the one with the lowest primal objective, which leaves b out.
     """
     count = len(targets)
     y = targets.tolist()

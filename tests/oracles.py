@@ -3,9 +3,10 @@
 These deliberately avoid the library's computation paths: the DFT is a direct
 O(N^2) matrix product, interpolation is a scalar per-point loop, LLC is an
 iterative constrained solver, Fisher vectors come from finite differences of an
-explicit log-likelihood, and the SVM bound comes from subgradient descent. The
-SVM reference trainer runs the same dual coordinate descent as the library on
-P-length primal rows, not on the Gram matrix, and the Fisher loop reference
+explicit log-likelihood, the SVM bound comes from subgradient descent, and
+``hinge_objective`` is the SVM primal written out directly. The SVM reference
+trainer runs the same dual coordinate descent as the library on P-length
+primal rows, not on the Gram matrix, and the Fisher loop reference
 accumulates one GMM component at a time where the library builds all
 components in one batched pass. The K-means reference is a plain Lloyd loop
 over the full distance matrix, with ``rng.choice`` draws for its k-means++
@@ -229,6 +230,18 @@ def fisher_loop_reference(model, data, resp, normalize):
         if norm > 0:
             values = values / norm
     return values
+
+
+def hinge_objective(weights, bias: float, penalty: float, inputs, targets) -> float:
+    """Regularized hinge loss: 0.5*||w||^2 + C * sum_i max(1 - y_i*(w.x_i + b), 0),
+    the primal objective the SVM trainer records; b stays out of the regularizer."""
+    w = np.asarray(weights, dtype=np.float64)
+    data = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    if data.ndim != 2 or data.shape[1] != w.shape[0]:
+        raise DataError("inputs must be a T x P matrix matching the weight length")
+    margins = y * (data @ w + bias)
+    return float(0.5 * np.dot(w, w) + penalty * np.sum(np.maximum(1.0 - margins, 0.0)))
 
 
 def svm_subgradient_oracle(inputs, targets, penalty, steps=200000):

@@ -23,7 +23,6 @@ from tdfenc import (
     fisher_encode,
     generate_synthetic_dataset,
     gmm_fit,
-    hinge_objective,
     kmeans_fit,
     llc_encode,
     llc_pool,
@@ -49,6 +48,7 @@ from tdfenc.cli import main
 from oracles import (
     cubic_oracle,
     fisher_finite_difference_oracle,
+    hinge_objective,
     llc_projected_gradient_oracle,
     naive_dft_reference,
     svm_subgradient_oracle,

@@ -167,6 +167,41 @@ def test_staged_equals_monolithic(dataset, tmp_path, capsys):
     assert staged["class_1"] == run_row[3]
 
 
+@pytest.mark.parametrize(
+    "encoders",
+    [
+        "time_encoder=vlad\ndft_encoder=fv\ntime_codebook_size=4\ndft_codebook_size=2\n",
+        "pca_dims=3\ntime_encoder=llc\ndft_encoder=average\ntime_codebook_size=6\n"
+        "llc_neighbors=3\n",
+    ],
+    ids=["vlad-fv", "pca-llc"],
+)
+def test_staged_equals_monolithic_with_fitted_encoders(dataset, tmp_path, capsys, encoders):
+    # configs whose training vectors need a fitted codebook or mixture, with
+    # and without PCA: run and the stages fit and encode them the same way
+    manifest_path, config_path = dataset
+    average = "time_encoder=average\ndft_encoder=average\n"
+    config_path.write_text(RUN_CONFIG.replace(average, encoders), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--manifest", str(manifest_path),
+                 "--repeat", "1"]) == 0
+    run_row = capsys.readouterr().out.strip().splitlines()[1].split("\t")
+
+    eval_lines = staged_pipeline(tmp_path, manifest_path, config_path, capsys)
+    staged = dict(line.split("\t", 1) for line in eval_lines)
+    assert [staged["overall"], staged["class_0"], staged["class_1"]] == run_row[1:]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_run_with_repeat_below_one_exits_1(dataset, capsys, value):
+    manifest_path, config_path = dataset
+    capsys.readouterr()
+    argv = ["run", "--config", str(config_path), "--manifest", str(manifest_path),
+            "--repeat", value]
+    assert main(argv) == 1
+    assert f"argument --repeat: must be positive, got {value}" in _one_line_error(capsys)
+
+
 def test_predict_on_training_vectors(dataset, tmp_path, capsys):
     manifest_path, config_path = dataset
     bundle_dir = tmp_path / "bundle"

@@ -524,9 +524,9 @@ class TestFitModels:
         config = PipelineConfig(spectrum_length=16)
         bundle = ModelBundle()
         with pytest.raises(DataError, match="dims"):
-            from tdfenc.pipeline import _encode_manifest
+            from tdfenc.pipeline import _encode_manifest, _Videos
 
-            _encode_manifest(config, bundle, manifest)
+            _encode_manifest(config, bundle, _Videos(manifest))
 
     def test_bundle_files_byte_identical_across_runs(self, tmp_path):
         manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
@@ -686,15 +686,15 @@ def test_experiment_runs_the_public_layer_functions(tmp_path, monkeypatch):
         len(split_train_test(manifest, config.train_fraction, config.seed + r)[1].entries)
         for r in range(1, repetitions + 1)
     )
-    # with PCA each training video is normalized twice: by l2_normalize in
-    # the streamed PCA fit, and by normalized_pca_transform for its reduced
-    # descriptors, which is also the one normalization of each test video
+    # with PCA and no codebook each training video is normalized twice: by
+    # l2_normalize in the streamed PCA fit, and by normalized_pca_transform in
+    # encode_video, which encodes every training and test video
     assert calls == {
         "pca_fit": repetitions,
         "spectrum_of_sequence": videos,
         "l2_normalize": videos - test_videos,
         "normalized_pca_transform": videos,
-        "encode_video": test_videos,
+        "encode_video": videos,
     }
 
 
@@ -744,29 +744,37 @@ def _split_ids(config, manifest, repetitions, train_reads):
 
 @pytest.mark.parametrize("overrides", _PCA_CODEBOOK_CONFIGS)
 def test_experiment_reads_each_video_once_per_repetition(tmp_path, monkeypatch, overrides):
-    # once per pass over the data: with PCA the fit streams the training
-    # videos, then reads them again for their reduced descriptors, so each
-    # training video is read and normalized twice and each test video once
+    # once per pass over the data: with PCA and a codebook the fit streams
+    # the training videos into the PCA, reads them again for the codebook
+    # branches' reduced descriptors, and encode_video reads them a third
+    # time, so each training video is read and normalized three times and
+    # each test video once
     manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
     config = PipelineConfig(pca_dims=3, spectrum_length=16, svm_c=10.0, seed=3, **overrides)
     reads, normalized = _reads_and_normalizations(monkeypatch, config, manifest, 2)
-    assert reads == _split_ids(config, manifest, 2, train_reads=2)
+    assert reads == _split_ids(config, manifest, 2, train_reads=3)
     assert normalized == len(reads)
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [dict(), dict(time_encoder="vlad", dft_encoder="fv", time_codebook_size=3, dft_codebook_size=4)],
+    "overrides,train_reads",
+    [(dict(), 1),
+     (dict(time_encoder="vlad", dft_encoder="fv", time_codebook_size=3, dft_codebook_size=4), 2)],
     ids=["average", "codebooks"],
 )
 def test_experiment_without_pca_reads_each_video_once_per_repetition(
-    tmp_path, monkeypatch, overrides
+    tmp_path, monkeypatch, overrides, train_reads
 ):
+    # once per pass over the data: without PCA the fit reads the training
+    # videos only if a branch fits a codebook, and encode_video reads every
+    # video once, so a training video is read twice with a codebook, once
+    # with average pooling only
     manifest = generate_synthetic_dataset(tiny_spec(), tmp_path / "data")
     config = PipelineConfig(spectrum_length=16, svm_c=10.0, seed=3, **overrides)
     reads, normalized = _reads_and_normalizations(monkeypatch, config, manifest, 2)
     ids = sorted(e.video_id for e in manifest.entries)
-    assert reads == _split_ids(config, manifest, 2, train_reads=1) == sorted(ids + ids)
+    assert _split_ids(config, manifest, 2, train_reads=1) == sorted(ids + ids)
+    assert reads == _split_ids(config, manifest, 2, train_reads=train_reads)
     assert normalized == len(reads)
 
 

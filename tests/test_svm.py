@@ -3,7 +3,6 @@ import pytest
 
 from tdfenc import (
     VideoVector,
-    hinge_objective,
     load_svm_model,
     predict,
     save_svm_model,
@@ -26,7 +25,7 @@ def symmetric_blobs(seed, n=15, d=2, center=2.0, spread=0.3):
     return list(zip(data, labels)), data, labels
 
 
-from oracles import svm_subgradient_oracle
+from oracles import hinge_objective, svm_subgradient_oracle
 
 
 class TestTraining:

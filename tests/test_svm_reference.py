@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import svm_primal_rows_reference
+from oracles import hinge_objective, svm_primal_rows_reference
 from test_svm import symmetric_blobs
-from tdfenc import hinge_objective, predict, train_linear_svm
+from tdfenc import predict, train_linear_svm
 from tdfenc.errors import DataError
 
 
