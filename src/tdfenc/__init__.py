@@ -3,8 +3,9 @@
 Variable-length sequences of per-frame descriptors are fused from two views:
 time-domain pooling of the descriptors themselves, and pooling of their
 per-dimension DFT magnitude spectra, each resampled to the same number of
-frequency samples whatever the video's length. Average, LLC, Fisher-vector, and VLAD encoders are available per branch, and
-a one-vs-rest linear SVM classifies the fused vectors.
+frequency samples whatever the video's length. Average, LLC, Fisher-vector,
+and VLAD encoders are available per branch, and a one-vs-rest linear SVM
+classifies the fused vectors.
 """
 
 from .codebook import (
@@ -19,7 +20,6 @@ from .codebook import (
     save_gmm_model,
 )
 from .encode import (
-    LlcParams,
     VideoVector,
     average_pool,
     fisher_encode,
@@ -65,7 +65,6 @@ from .preprocess import (
     pca_fit,
     pca_transform,
     save_pca_model,
-    scale_to_norm,
 )
 from .spectral import (
     cubic_resample,

@@ -24,7 +24,6 @@ from .codebook import (
     gmm_responsibilities,
 )
 from .errors import DataError, FormatError
-from .preprocess import scale_to_norm
 
 VECTOR_MAGIC = b"TDFV"
 
@@ -64,20 +63,6 @@ class VideoVector:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class LlcParams:
-    """Locality coding knobs: number of nearest codewords and the ridge weight."""
-
-    neighbors: int = 5
-    lam: float = 1e-4
-
-    def __post_init__(self):
-        if self.neighbors < 1:
-            raise DataError(f"neighbors must be positive, got {self.neighbors}")
-        if not 0 <= self.lam < np.inf:
-            raise DataError(f"lam must be finite and non-negative, got {self.lam}")
-
-
 def average_pool(descriptors, branch: str = "time") -> VideoVector:
     """Mean of the descriptor set; output dimension equals the descriptor dimension."""
     data = _descriptor_matrix(descriptors)
@@ -85,7 +70,7 @@ def average_pool(descriptors, branch: str = "time") -> VideoVector:
 
 
 def _llc_codes(
-    codebook: Codebook, params: LlcParams, data: np.ndarray
+    codebook: Codebook, data: np.ndarray, neighbors: int, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Locality codes of every row of a checked N x d descriptor matrix.
 
@@ -96,16 +81,21 @@ def _llc_codes(
     local covariance C = (B - x)(B - x)^T, then rescale so the code sums to
     exactly 1. All N local systems are solved in one batched call, and no
     N x K matrix is formed. Raises ``DataError`` when distances overflow
-    float64 and when a local system is singular.
+    float64, when a local system is singular, and on a ``neighbors`` below 1
+    or above K or a ``lam`` that is negative or not finite.
     """
-    k = params.neighbors
+    k = neighbors
+    if k < 1:
+        raise DataError(f"neighbors must be positive, got {k}")
+    if not 0 <= lam < np.inf:
+        raise DataError(f"lam must be finite and non-negative, got {lam}")
     if k > codebook.num_words:
         raise DataError(f"neighbors={k} exceeds codebook size {codebook.num_words}")
     nearest = _nearest_labels(data, codebook.centroids, k)
     shifted = codebook.centroids[nearest] - data[:, None, :]
     with np.errstate(over="ignore"):
         local_cov = shifted @ shifted.transpose(0, 2, 1)
-    local_cov += params.lam * np.eye(k)
+    local_cov += lam * np.eye(k)
     if not np.all(np.isfinite(local_cov)):
         raise DataError("descriptor distances overflow float64")
     try:
@@ -115,22 +105,26 @@ def _llc_codes(
     return nearest, raw / raw.sum(axis=1, keepdims=True)
 
 
-def llc_encode(codebook: Codebook, params: LlcParams, x) -> np.ndarray:
+def llc_encode(codebook: Codebook, x, neighbors: int = 5, lam: float = 1e-4) -> np.ndarray:
     """Sparse locality-constrained code of one descriptor over the codebook.
 
     Runs the same batched kernel as ``llc_pool`` on one row: the descriptor is
     fit as an affine combination of its ``neighbors`` nearest codewords, found
     by the package's one nearest-center search (ties at equal distance go to
-    the lowest index), and the code sums to exactly 1. Non-neighbor entries
-    stay zero. Raises ``DataError`` when distances overflow float64.
+    the lowest index), with ridge weight ``lam``, and the code sums to
+    exactly 1. Non-neighbor entries stay zero. Raises ``DataError`` when
+    distances overflow float64 and on a bad ``neighbors`` or ``lam``.
     """
-    nearest, codes = _llc_codes(codebook, params, _descriptor_matrix([x], codebook.dims))
+    data = _descriptor_matrix([x], codebook.dims)
+    nearest, codes = _llc_codes(codebook, data, neighbors, lam)
     code = np.zeros(codebook.num_words)
     code[nearest[0]] = codes[0]
     return code
 
 
-def llc_pool(codebook: Codebook, params: LlcParams, descriptors, branch: str = "time") -> VideoVector:
+def llc_pool(
+    codebook: Codebook, descriptors, branch: str = "time", neighbors: int = 5, lam: float = 1e-4
+) -> VideoVector:
     """Elementwise maximum of the locality codes of every descriptor.
 
     All descriptors are coded in one batched pass, with the same neighbor
@@ -139,11 +133,12 @@ def llc_pool(codebook: Codebook, params: LlcParams, descriptors, branch: str = "
     at least that descriptor's zero, so the result equals the maximum of the
     dense N x K codes without forming them; memory stays at O(block·K + N·k).
     Each row is coded on its own and a maximum does not depend on the order it
-    is taken in, so pooling ignores descriptor order. Raises ``DataError`` when
-    distances overflow float64.
+    is taken in, so pooling ignores descriptor order. ``neighbors`` and
+    ``lam`` are ``llc_encode``'s. Raises ``DataError`` when distances overflow
+    float64 and on a bad ``neighbors`` or ``lam``.
     """
     data = _descriptor_matrix(descriptors, codebook.dims)
-    nearest, codes = _llc_codes(codebook, params, data)
+    nearest, codes = _llc_codes(codebook, data, neighbors, lam)
     pooled = np.full(codebook.num_words, -np.inf)
     np.maximum.at(pooled, nearest, codes)
     partly_used = np.bincount(nearest.ravel(), minlength=codebook.num_words) < data.shape[0]
@@ -220,17 +215,27 @@ def vlad_encode(
 def fuse(branches) -> VideoVector:
     """Scale each branch vector to its target norm and concatenate in order.
 
-    ``branches`` is an ordered list of (VideoVector, target_norm) pairs; every
-    branch must be non-zero, and an error names the branch that is not.
+    ``branches`` is an ordered list of (VideoVector, target_norm) pairs. Each
+    branch becomes ``v * (target_norm / ‖v‖)``; a target norm that is not
+    positive, a zero branch and a branch whose norm overflows float64 raise
+    DataError, naming the branch.
     """
     if not branches:
         raise DataError("fuse needs at least one branch")
     parts = []
     for vv, norm in branches:
-        try:
-            parts.append(scale_to_norm(vv.values, norm))
-        except DataError as exc:
-            raise DataError(f"{vv.branch} branch: {exc}") from None
+        if norm <= 0:
+            raise DataError(f"{vv.branch} branch: target_norm must be positive, got {norm}")
+        with np.errstate(over="ignore"):
+            length = np.linalg.norm(vv.values)
+        if length == 0.0:
+            raise DataError(f"{vv.branch} branch: cannot scale zero vector")
+        # the values are finite, so a norm that is not can only have overflowed
+        if not np.isfinite(length):
+            raise DataError(
+                f"{vv.branch} branch: cannot scale a vector whose norm overflows float64"
+            )
+        parts.append(vv.values * (norm / length))
     return VideoVector(values=np.concatenate(parts), method="fused", branch="fused")
 
 

@@ -43,7 +43,7 @@ from .codebook import (
     save_codebook,
     save_gmm_model,
 )
-from .encode import LlcParams, VideoVector, average_pool, fisher_encode, fuse, llc_pool, vlad_encode
+from .encode import VideoVector, average_pool, fisher_encode, fuse, llc_pool, vlad_encode
 from .errors import ConfigError, DataError
 from .featureio import (
     DatasetManifest,
@@ -91,7 +91,7 @@ _MODEL_KINDS = {
 _ENCODERS = {
     "average": _Encoder(None, None, lambda c, m, d, b: average_pool(d, branch=b)),
     "llc": _Encoder(Codebook, 1024, lambda c, m, d, b: llc_pool(
-        m, LlcParams(neighbors=c.llc_neighbors, lam=c.llc_lambda), d, branch=b)),
+        m, d, branch=b, neighbors=c.llc_neighbors, lam=c.llc_lambda)),
     "fv": _Encoder(GmmModel, 16, lambda c, m, d, b: fisher_encode(
         m, d, branch=b, normalize=c.signed_sqrt_l2)),
     "vlad": _Encoder(Codebook, 16, lambda c, m, d, b: vlad_encode(
@@ -486,10 +486,12 @@ def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle
     video at a time, so fit memory is bounded by the D x D scatter, one video
     and one row sum per video, not by the number of frames. Branch models are
     fitted on that branch's descriptors from the training videos only, with
-    separate seeds per branch; only the codebook branches' descriptor sets are
-    built and held, and they are dropped on return. A video is read once for
-    PCA and once for the codebook descriptors, each only if needed: twice with
-    PCA and a codebook, never with neither.
+    separate seeds per branch. Only the codebook branches' descriptors are
+    built. Each branch's per-video sets are stacked into one matrix and
+    released before the first fit, and each matrix is released once its model
+    is fitted, so no per-video set is held during a fit. A video is read once
+    for PCA and once for the codebook descriptors, each only if needed: twice
+    with PCA and a codebook, never with neither.
     """
     videos, pca = _Videos(manifest), None
     if config.pca_dims is not None:
@@ -503,15 +505,18 @@ def fit_models(config: PipelineConfig, manifest: DatasetManifest) -> ModelBundle
     if not branches:
         return ModelBundle(pca)
     # the frames are passed on, not kept, so no video outlives its turn
-    sets = [_descriptor_sets(config, pca, e.video_id, videos.read(e).values.T, branches)
-            for e in manifest.entries]
+    sets = {b: [] for b in branches}
+    for e in manifest.entries:
+        for b, s in _descriptor_sets(config, pca, e.video_id, videos.read(e).values.T,
+                                     branches).items():
+            sets[b].append(s)
+    stacked = {b: np.vstack(sets.pop(b)) for b in branches}
     models = {}
     for branch, cls in branches.items():
-        descriptors = np.vstack([s[branch] for s in sets])
         seed = config.seed + _FIT_SEED_OFFSETS[branch]
         with _naming(f"{branch} branch"):
             models[f"{branch}_model"] = _MODEL_KINDS[cls].fit(
-                config, descriptors, config.codebook_size(branch), seed
+                config, stacked.pop(branch), config.codebook_size(branch), seed
             )
     return ModelBundle(pca, **models)
 

@@ -1,4 +1,4 @@
-"""Vector normalization, PCA reduction, and branch-norm scaling."""
+"""Vector normalization and PCA reduction."""
 
 from __future__ import annotations
 
@@ -180,17 +180,6 @@ def normalized_pca_transform(model: PcaModel, frames) -> np.ndarray:
     out /= np.where(norms == 0.0, 1.0, norms)[..., None]
     out -= model.mean @ model.components.T
     return out
-
-
-def scale_to_norm(v, target_norm: float) -> np.ndarray:
-    """Rescale a non-zero vector so its Euclidean norm equals ``target_norm``."""
-    if target_norm <= 0:
-        raise DataError(f"target_norm must be positive, got {target_norm}")
-    vec = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise DataError("cannot scale zero vector")
-    return vec * (target_norm / norm)
 
 
 def save_pca_model(model: PcaModel, path) -> None:

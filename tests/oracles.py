@@ -123,24 +123,24 @@ def cubic_oracle(points, target_length):
     return out
 
 
-def llc_projected_gradient_oracle(codebook, params, x, iters=20000):
+def llc_projected_gradient_oracle(codebook, x, neighbors, lam, iters=20000):
     """Accelerated projected gradient (with adaptive restart) on the same
     k-neighbor sum-to-one constrained least-squares problem."""
     distances = np.sum((codebook.centroids - x) ** 2, axis=1)
-    nearest = np.argsort(distances, kind="stable")[: params.neighbors]
+    nearest = np.argsort(distances, kind="stable")[:neighbors]
     basis = codebook.centroids[nearest]
-    k = params.neighbors
-    gram = basis @ basis.T + params.lam * np.eye(k)
+    k = neighbors
+    gram = basis @ basis.T + lam * np.eye(k)
     step = 1.0 / (2.0 * np.linalg.eigvalsh(gram).max())
 
     def project(c):
         return c - (c.sum() - 1.0) / k
 
     def gradient(c):
-        return 2.0 * (basis @ (basis.T @ c - x) + params.lam * c)
+        return 2.0 * (basis @ (basis.T @ c - x) + lam * c)
 
     def objective(c):
-        return np.sum((x - basis.T @ c) ** 2) + params.lam * np.sum(c * c)
+        return np.sum((x - basis.T @ c) ** 2) + lam * np.sum(c * c)
 
     current = project(np.full(k, 1.0 / k))
     momentum = current.copy()

@@ -13,7 +13,6 @@ from tdfenc import (
     Codebook,
     FeatureSequence,
     GmmModel,
-    LlcParams,
     PipelineConfig,
     SynthSpec,
     VideoVector,
@@ -111,11 +110,11 @@ def test_criterion_3a_llc_oracle():
         k_words = int(rng.integers(6, 16))
         dims = int(rng.integers(2, 6))
         codebook = Codebook(rng.normal(size=(k_words, dims)))
-        params = LlcParams(neighbors=int(rng.integers(2, min(6, k_words))), lam=1e-4)
+        neighbors = int(rng.integers(2, min(6, k_words)))
         x = rng.normal(size=dims)
-        code = llc_encode(codebook, params, x)
+        code = llc_encode(codebook, x, neighbors=neighbors, lam=1e-4)
         worst_sum = max(worst_sum, abs(float(code.sum()) - 1.0))
-        oracle_code = llc_projected_gradient_oracle(codebook, params, x)
+        oracle_code = llc_projected_gradient_oracle(codebook, x, neighbors, 1e-4)
         ours = float(np.sum((x - codebook.centroids.T @ code) ** 2))
         ref = float(np.sum((x - codebook.centroids.T @ oracle_code) ** 2))
         worst_reconstruction = max(worst_reconstruction, abs(ours - ref))
@@ -333,7 +332,7 @@ def test_criterion_7_dimension_laws():
     vlad_book = Codebook(rng.normal(size=(16, d)))
     vlad = vlad_encode(vlad_book, descriptors)
     llc_book = Codebook(rng.normal(size=(1024, d)))
-    llc = llc_pool(llc_book, LlcParams(neighbors=5), descriptors[:5])
+    llc = llc_pool(llc_book, descriptors[:5], neighbors=5)
 
     # the fv law at the full-scale descriptor width: 2 * 1024 * 16 = 32768
     gmm_wide = GmmModel(

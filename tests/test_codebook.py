@@ -7,7 +7,6 @@ import pytest
 from tdfenc import (
     Codebook,
     GmmModel,
-    LlcParams,
     average_pool,
     fisher_encode,
     gmm_fit,
@@ -571,10 +570,10 @@ _DESCRIPTOR_CALLERS = {
     "gmm_fit": (lambda x: gmm_fit(x, 2, seed=0), False, False),
     "gmm_responsibilities": (lambda x: gmm_responsibilities(_GMM, x), True, False),
     "average_pool": (average_pool, False, False),
-    "llc_pool": (lambda x: llc_pool(_CODEBOOK, LlcParams(neighbors=2), x), True, False),
+    "llc_pool": (lambda x: llc_pool(_CODEBOOK, x, neighbors=2), True, False),
     "fisher_encode": (lambda x: fisher_encode(_GMM, x), True, False),
     "vlad_encode": (lambda x: vlad_encode(_CODEBOOK, x), True, False),
-    "llc_encode": (lambda x: llc_encode(_CODEBOOK, LlcParams(neighbors=2), x), True, True),
+    "llc_encode": (lambda x: llc_encode(_CODEBOOK, x, neighbors=2), True, True),
 }
 
 

@@ -7,12 +7,12 @@ import pytest
 from tdfenc import (
     Codebook,
     GmmModel,
-    LlcParams,
     VideoVector,
     average_pool,
     fisher_encode,
     fuse,
     gmm_responsibilities,
+    l2_normalize,
     llc_encode,
     llc_pool,
     load_video_vector,
@@ -65,7 +65,7 @@ class TestLlc:
     def test_exact_codeword_single_neighbor(self):
         rng = np.random.default_rng(1)
         codebook = Codebook(rng.normal(size=(6, 4)))
-        code = llc_encode(codebook, LlcParams(neighbors=1), codebook.centroids[3])
+        code = llc_encode(codebook, codebook.centroids[3], neighbors=1)
         expected = np.zeros(6)
         expected[3] = 1.0
         np.testing.assert_allclose(code, expected, atol=1e-12)
@@ -73,20 +73,18 @@ class TestLlc:
     def test_codes_sum_to_one(self):
         rng = np.random.default_rng(2)
         codebook = Codebook(rng.normal(size=(12, 5)))
-        params = LlcParams(neighbors=5)
         for _ in range(30):
-            code = llc_encode(codebook, params, rng.normal(size=5))
+            code = llc_encode(codebook, rng.normal(size=5), neighbors=5)
             assert abs(code.sum() - 1.0) <= 1e-12
-            assert np.count_nonzero(code) <= params.neighbors
+            assert np.count_nonzero(code) <= 5
 
     def test_reconstruction_matches_projected_gradient_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             codebook = Codebook(rng.normal(size=(8, 2)))
-            params = LlcParams(neighbors=3, lam=1e-4)
             x = rng.normal(size=2)
-            analytic = llc_encode(codebook, params, x)
-            iterative = llc_projected_gradient_oracle(codebook, params, x)
+            analytic = llc_encode(codebook, x, neighbors=3, lam=1e-4)
+            iterative = llc_projected_gradient_oracle(codebook, x, neighbors=3, lam=1e-4)
             err_a = np.sum((x - codebook.centroids.T @ analytic) ** 2)
             err_b = np.sum((x - codebook.centroids.T @ iterative) ** 2)
             assert abs(err_a - err_b) < 1e-6
@@ -94,12 +92,24 @@ class TestLlc:
     def test_neighbors_capped_by_codebook(self):
         codebook = Codebook(np.array([[0.0], [1.0]]))
         with pytest.raises(DataError):
-            llc_encode(codebook, LlcParams(neighbors=3), np.array([0.5]))
+            llc_encode(codebook, np.array([0.5]), neighbors=3)
 
     @pytest.mark.parametrize("lam", [-1e-4, np.nan, np.inf])
     def test_lam_must_be_finite_and_non_negative(self, lam):
+        codebook = Codebook(np.array([[0.0], [1.0]]))
         with pytest.raises(DataError, match="lam must be finite and non-negative"):
-            LlcParams(lam=lam)
+            llc_encode(codebook, np.array([0.5]), neighbors=2, lam=lam)
+        with pytest.raises(DataError, match="lam must be finite and non-negative"):
+            llc_pool(codebook, np.array([[0.5]]), neighbors=2, lam=lam)
+
+    @pytest.mark.parametrize("neighbors", [0, -1])
+    def test_neighbors_must_be_positive(self, neighbors):
+        codebook = Codebook(np.array([[0.0], [1.0]]))
+        message = f"^neighbors must be positive, got {neighbors}$"
+        with pytest.raises(DataError, match=message):
+            llc_encode(codebook, np.array([0.5]), neighbors=neighbors)
+        with pytest.raises(DataError, match=message):
+            llc_pool(codebook, np.array([[0.5]]), neighbors=neighbors)
 
     def test_singular_system_without_ridge(self):
         # x equidistant between two codewords makes the local covariance
@@ -107,35 +117,32 @@ class TestLlc:
         codebook = Codebook(np.array([[0.0, 0.0], [2.0, 0.0]]))
         x = np.array([1.0, 0.0])
         with pytest.raises(DataError, match="singular"):
-            llc_encode(codebook, LlcParams(neighbors=2, lam=0.0), x)
-        code = llc_encode(codebook, LlcParams(neighbors=2, lam=1e-4), x)
+            llc_encode(codebook, x, neighbors=2, lam=0.0)
+        code = llc_encode(codebook, x, neighbors=2, lam=1e-4)
         np.testing.assert_allclose(code, [0.5, 0.5], atol=1e-9)
 
     def test_pool_single_descriptor_is_own_code(self):
         rng = np.random.default_rng(4)
         codebook = Codebook(rng.normal(size=(7, 3)))
-        params = LlcParams(neighbors=3)
         x = rng.normal(size=3)
-        pooled = llc_pool(codebook, params, x[None, :])
-        np.testing.assert_array_equal(pooled.values, llc_encode(codebook, params, x))
+        pooled = llc_pool(codebook, x[None, :], neighbors=3)
+        np.testing.assert_array_equal(pooled.values, llc_encode(codebook, x, neighbors=3))
         assert pooled.method == "llc"
 
     def test_pool_duplicate_is_idempotent(self):
         rng = np.random.default_rng(5)
         codebook = Codebook(rng.normal(size=(7, 3)))
-        params = LlcParams(neighbors=4)
         x = rng.normal(size=3)
-        once = llc_pool(codebook, params, x[None, :])
-        twice = llc_pool(codebook, params, np.vstack([x, x]))
+        once = llc_pool(codebook, x[None, :], neighbors=4)
+        twice = llc_pool(codebook, np.vstack([x, x]), neighbors=4)
         np.testing.assert_array_equal(once.values, twice.values)
 
     def test_pool_matches_brute_force_max(self):
         rng = np.random.default_rng(6)
         codebook = Codebook(rng.normal(size=(9, 4)))
-        params = LlcParams(neighbors=3)
         data = rng.normal(size=(11, 4))
-        pooled = llc_pool(codebook, params, data)
-        stacked = np.stack([llc_encode(codebook, params, row) for row in data])
+        pooled = llc_pool(codebook, data, neighbors=3)
+        stacked = np.stack([llc_encode(codebook, row, neighbors=3) for row in data])
         np.testing.assert_array_equal(pooled.values, stacked.max(axis=0))
 
     def test_ties_at_kth_distance_break_to_lowest_index(self):
@@ -148,22 +155,20 @@ class TestLlc:
         for k in (1, 2, 3, 4, 5, 6, 8, 25):
             reference = np.argsort(exact, axis=1, kind="stable")[:, :k]
             np.testing.assert_array_equal(_nearest_labels(data, grid, k), reference)
-            params = LlcParams(neighbors=k)
-            codes = np.stack([llc_encode(codebook, params, x) for x in data])
+            codes = np.stack([llc_encode(codebook, x, neighbors=k) for x in data])
             for code, words in zip(codes, reference):
                 np.testing.assert_array_equal(np.flatnonzero(code), np.sort(words))
-            pooled = llc_pool(codebook, params, data)
+            pooled = llc_pool(codebook, data, neighbors=k)
             np.testing.assert_array_equal(pooled.values, codes.max(axis=0))
 
     def test_pool_matches_per_descriptor_kkt_solve(self):
         rng = np.random.default_rng(7)
         codebook = Codebook(rng.normal(size=(64, 8)))
-        params = LlcParams(neighbors=5, lam=1e-4)
+        k, lam = 5, 1e-4
         data = rng.normal(size=(500, 8))
-        pooled = llc_pool(codebook, params, data)
-        stacked = np.stack([llc_encode(codebook, params, row) for row in data])
+        pooled = llc_pool(codebook, data, neighbors=k, lam=lam)
+        stacked = np.stack([llc_encode(codebook, row, neighbors=k, lam=lam) for row in data])
         np.testing.assert_array_equal(pooled.values, stacked.max(axis=0))
-        k = params.neighbors
         expected = np.full(codebook.num_words, -np.inf)
         for x in data:
             # minimize c^T (C + lam I) c subject to sum(c) = 1 via its KKT system
@@ -171,7 +176,7 @@ class TestLlc:
             nearest = np.argsort(distances, kind="stable")[:k]
             shifted = codebook.centroids[nearest] - x
             kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = 2.0 * (shifted @ shifted.T + params.lam * np.eye(k))
+            kkt[:k, :k] = 2.0 * (shifted @ shifted.T + lam * np.eye(k))
             kkt[:k, k] = kkt[k, :k] = 1.0
             rhs = np.zeros(k + 1)
             rhs[k] = 1.0
@@ -182,20 +187,19 @@ class TestLlc:
 
     def test_pool_one_singular_row_raises(self):
         codebook = Codebook(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [3.0, 3.0]]))
-        params = LlcParams(neighbors=2, lam=0.0)
         regular = np.array([[0.3, 0.9], [2.2, 2.1], [0.4, 2.5]])
-        llc_pool(codebook, params, regular)
+        llc_pool(codebook, regular, neighbors=2, lam=0.0)
         # (1, 0) lies on the line through its two nearest codewords
         batch = np.vstack([regular[:2], [[1.0, 0.0]], regular[2:]])
         with pytest.raises(DataError, match="singular"):
-            llc_pool(codebook, params, batch)
+            llc_pool(codebook, batch, neighbors=2, lam=0.0)
 
     def test_pool_rejects_bad_shapes(self):
         codebook = Codebook(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(DataError, match="dimension mismatch"):
-            llc_pool(codebook, LlcParams(neighbors=2), np.zeros((4, 3)))
+            llc_pool(codebook, np.zeros((4, 3)), neighbors=2)
         with pytest.raises(DataError, match="exceeds codebook size"):
-            llc_pool(codebook, LlcParams(neighbors=4), np.zeros((4, 2)))
+            llc_pool(codebook, np.zeros((4, 2)), neighbors=4)
 
     def test_pool_memory_stays_blocked(self):
         # the dense N x K codes of this call would take 164 MB
@@ -205,7 +209,7 @@ class TestLlc:
         data = rng.normal(size=(n, d))
         tracemalloc.start()
         try:
-            llc_pool(codebook, LlcParams(neighbors=k), data)
+            llc_pool(codebook, data, neighbors=k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -439,10 +443,47 @@ class TestFuse:
         fused = fuse([(v, 1.0)])
         np.testing.assert_allclose(fused.values, [0.6, 0.8], atol=1e-12)
 
+    def test_three_four_example(self):
+        v = VideoVector(np.array([3.0, 4.0]), "average", "time")
+        np.testing.assert_allclose(fuse([(v, 0.6)]).values, [0.36, 0.48], atol=1e-12)
+
+    def test_unit_vector_to_two_fifths(self):
+        v = l2_normalize(np.array([1.0, 2.0, 2.0]))
+        out = fuse([(VideoVector(v, "average", "dft"), 0.4)]).values
+        assert np.linalg.norm(out) == pytest.approx(0.4, abs=1e-12)
+        np.testing.assert_allclose(out / np.linalg.norm(out), v, atol=1e-12)
+
+    def test_norm_property(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            v = rng.normal(size=int(rng.integers(1, 20)))
+            if np.linalg.norm(v) == 0:
+                continue
+            target = float(rng.uniform(0.1, 5.0))
+            out = fuse([(VideoVector(v, "average", "time"), target)]).values
+            assert np.linalg.norm(out) == pytest.approx(target, abs=1e-12)
+
     def test_zero_branch_rejected(self):
         v = VideoVector(np.array([0.0, 0.0]), "average", "time")
         with pytest.raises(DataError, match="zero vector"):
             fuse([(v, 1.0)])
+
+    @pytest.mark.parametrize("norm", [0.0, -0.4])
+    def test_non_positive_norm_rejected(self, norm):
+        time_vec = VideoVector(np.array([3.0, 4.0]), "average", "time")
+        dft_vec = VideoVector(np.array([1.0, 2.0]), "average", "dft")
+        with pytest.raises(DataError, match=f"^dft branch: target_norm must be positive, got {norm}$"):
+            fuse([(time_vec, 0.6), (dft_vec, norm)])
+
+    def test_overflowing_norm_rejected_without_warnings(self):
+        # each entry is finite, but the sum of their squares is not
+        huge = VideoVector(np.array([1e200, 1e200, 3.0]), "average", "time")
+        small = VideoVector(np.array([3.0, 4.0]), "average", "dft")
+        message = "^time branch: cannot scale a vector whose norm overflows float64$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                fuse([(huge, 0.6), (small, 0.4)])
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -470,11 +511,11 @@ class TestDistanceOverflow:
 
     @pytest.mark.parametrize("codebook", [FAR_CODEBOOK, NEAR_CODEBOOK], ids=["far", "near"])
     def test_llc_pool(self, codebook):
-        self._raises(lambda: llc_pool(codebook, LlcParams(), self.DATA))
+        self._raises(lambda: llc_pool(codebook, self.DATA))
 
     @pytest.mark.parametrize("codebook", [FAR_CODEBOOK, NEAR_CODEBOOK], ids=["far", "near"])
     def test_llc_encode(self, codebook):
-        self._raises(lambda: llc_encode(codebook, LlcParams(), self.DATA[0]))
+        self._raises(lambda: llc_encode(codebook, self.DATA[0]))
 
 
 class TestDescriptorOrder:
@@ -501,9 +542,9 @@ class TestDescriptorOrder:
     def test_llc_pool_bit_identical(self, sets):
         rng, data, shuffled = sets
         codebook = Codebook(rng.normal(size=(self.K, self.D)))
-        params = LlcParams(neighbors=5)
         np.testing.assert_array_equal(
-            llc_pool(codebook, params, shuffled).values, llc_pool(codebook, params, data).values
+            llc_pool(codebook, shuffled, neighbors=5).values,
+            llc_pool(codebook, data, neighbors=5).values,
         )
 
     def test_average_pool(self, sets):

@@ -485,6 +485,42 @@ class TestFitModels:
         # 24 more videos may add less than one video's normalized frames
         assert peaks[32] - peaks[8] < frames * dims * 8, peaks
 
+    def test_codebook_fits_hold_no_per_video_descriptor_sets(self, tmp_path, monkeypatch):
+        import tracemalloc
+
+        import tdfenc.pipeline as pipeline
+
+        dims, frames, length = 32, 200, 64
+        manifest = generate_synthetic_dataset(
+            tiny_spec(videos_per_class=8, dims=dims, frames_min=frames, frames_max=frames),
+            tmp_path / "data",
+        )
+        config = PipelineConfig(spectrum_length=length, time_encoder="vlad", dft_encoder="fv",
+                                time_codebook_size=4, dft_codebook_size=4, seed=1)
+        reference = fit_models(config, manifest)  # first-call allocations stay out of the counts
+        in_use = []
+        for name in ("kmeans_fit", "gmm_fit"):
+            def spy(descriptors, *args, _fit=getattr(pipeline, name), **kwargs):
+                in_use.append(tracemalloc.get_traced_memory()[0])
+                return _fit(descriptors, *args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, spy)
+        tracemalloc.start()
+        try:
+            bundle = fit_models(config, manifest)
+        finally:
+            tracemalloc.stop()
+        # a video's time set is frames x dims, its spectrum set dims x length
+        videos = len(manifest.entries)
+        time_bytes, dft_bytes = videos * frames * dims * 8, videos * dims * length * 8
+        one_video = (frames + length) * dims * 8
+        # when each fit starts, only the stacked matrices not yet fitted are held:
+        # both at the time branch's fit, the spectrum branch's alone at its own
+        assert in_use[0] < time_bytes + dft_bytes + one_video, in_use
+        assert in_use[1] < dft_bytes + one_video, in_use
+        np.testing.assert_array_equal(bundle.time_model.centroids, reference.time_model.centroids)
+        np.testing.assert_array_equal(bundle.dft_model.means, reference.dft_model.means)
+
     @pytest.mark.parametrize(
         "overrides",
         [dict(pca_dims=3), dict(pca_dims=3, time_encoder="vlad", time_codebook_size=3),

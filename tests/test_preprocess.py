@@ -3,13 +3,14 @@ import pytest
 
 from tdfenc import (
     PcaModel,
+    VideoVector,
+    fuse,
     l2_normalize,
     load_pca_model,
     normalized_pca_transform,
     pca_fit,
     pca_transform,
     save_pca_model,
-    scale_to_norm,
 )
 from tdfenc import binio
 from tdfenc.errors import DataError
@@ -343,27 +344,14 @@ class TestNormalizedPcaTransform:
 
 
 class TestScaleToNorm:
-    def test_three_four_example(self):
-        np.testing.assert_allclose(scale_to_norm([3.0, 4.0], 0.6), [0.36, 0.48], atol=1e-12)
-
-    def test_unit_vector_to_two_fifths(self):
-        v = l2_normalize(np.array([1.0, 2.0, 2.0]))
-        out = scale_to_norm(v, 0.4)
-        assert np.linalg.norm(out) == pytest.approx(0.4, abs=1e-12)
-        np.testing.assert_allclose(out / np.linalg.norm(out), v, atol=1e-12)
-
-    def test_norm_property(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            v = rng.normal(size=int(rng.integers(1, 20)))
-            if np.linalg.norm(v) == 0:
-                continue
-            target = float(rng.uniform(0.1, 5.0))
-            assert np.linalg.norm(scale_to_norm(v, target)) == pytest.approx(target, abs=1e-12)
+    """Branch-norm scaling, which ``fuse`` applies to each branch."""
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DataError, match="zero vector"):
-            scale_to_norm([0.0, 0.0], 1.0)
+        # a zero branch after a valid one is rejected, and the message names it
+        time_vec = VideoVector(np.array([3.0, 4.0]), "average", "time")
+        zero = VideoVector(np.array([0.0, 0.0]), "average", "dft")
+        with pytest.raises(DataError, match="^dft branch: cannot scale zero vector$"):
+            fuse([(time_vec, 0.6), (zero, 0.4)])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
